@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.conflict import (
     ConflictRelation,
@@ -861,12 +861,25 @@ class Federation:
                 audit.in_doubt_residue.append(
                     f"{subsystem.name}:{transaction.txn_id}"
                 )
-        terminated: Set[str] = set()
+        committed, aborted = self.wal_outcomes()
+        audit.lost_processes = sorted(
+            set(self.templates) - committed - aborted
+        )
+        return audit
+
+    def wal_outcomes(self) -> Tuple[Set[str], Set[str]]:
+        """``(committed, aborted)`` process ids over every shard's WAL.
+
+        The WALs are the one place every outcome is durable, including
+        terminations applied inside shard recovery.
+        """
+        committed: Set[str] = set()
+        aborted: Set[str] = set()
         for shard in self.shards.values():
             scan = scan_wal(shard.wal)
-            terminated |= scan.committed | scan.aborted
-        audit.lost_processes = sorted(set(self.templates) - terminated)
-        return audit
+            committed |= scan.committed
+            aborted |= scan.aborted
+        return committed, aborted
 
     def counters(self) -> Dict[str, int]:
         """Aggregated federation-level counters for results/benchmarks."""

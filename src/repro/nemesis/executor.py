@@ -15,15 +15,12 @@ into the result as a synthetic ``certification`` violation when dirty
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.conflict import ExplicitConflicts
 from repro.errors import ReproError
 from repro.fed.federation import Federation
 from repro.fed.messages import FederationNetwork
-from repro.fed.router import ShardRouter
 from repro.fed.runner import FederationRunMetrics, FederationRunner
 from repro.nemesis.adapters import (
     PlannedMessageFaults,
@@ -43,12 +40,9 @@ from repro.nemesis.plan import FaultPlan
 from repro.obs.bus import tracing
 from repro.sim.certify import Certification, certify_history
 from repro.sim.clock import VirtualClock
-from repro.sim.workload import WorkloadSpec, generate_process
+from repro.sim.federation import build_federation
 from repro.subsystems.backend import BACKEND_KINDS, BackendHub
 from repro.subsystems.failures import DiskFaultPolicy
-from repro.subsystems.recovery import scan_wal
-from repro.subsystems.services import counter_service
-from repro.subsystems.subsystem import Subsystem
 
 __all__ = ["NemesisSpec", "NemesisRunResult", "run_plan"]
 
@@ -233,15 +227,6 @@ class _Monitor:
             "walcrash": self.walcrash_kills,
         }
 
-    def wal_outcomes(self) -> Dict[str, Set[str]]:
-        committed: Set[str] = set()
-        aborted: Set[str] = set()
-        for shard in self.federation.shards.values():
-            scan = scan_wal(shard.wal)
-            committed |= scan.committed
-            aborted |= scan.aborted
-        return {"committed": committed, "aborted": aborted}
-
     # -- per-round hook -------------------------------------------------
 
     def on_round(self, now: float) -> None:
@@ -365,72 +350,19 @@ def _build(
     trace=None,
     hub: Optional[BackendHub] = None,
 ):
-    rng = random.Random(spec.seed)
     clock = VirtualClock()
-    group_services: List[List[str]] = []
-    owners: Dict[str, str] = {}
-    subsystems: List[Subsystem] = []
-    for group in range(spec.service_groups):
-        shard = f"s{group % spec.shards}"
-        services = [
-            f"g{group}s{index}"
-            for index in range(spec.services_per_group)
-        ]
-        group_services.append(services)
-        name = f"grp{group}"
-        subsystem = Subsystem(
-            name,
-            backend=hub.backend_for(name) if hub is not None else None,
-        )
-        for service in services:
-            subsystem.register(counter_service(service, key=service))
-            owners[service] = shard
-        subsystems.append(subsystem)
-
-    all_services = [svc for services in group_services for svc in services]
-    pairs = []
-    for i, left in enumerate(all_services):
-        for right in all_services[i + 1:]:
-            if spec.conflict_rate and rng.random() < spec.conflict_rate:
-                pairs.append((left, right))
-    conflicts = ExplicitConflicts(pairs)
-
-    shape = WorkloadSpec(
-        processes=1,
-        prefix_range=spec.prefix_range,
-        suffix_range=spec.suffix_range,
-        alternative_probability=spec.alternative_probability,
-        max_depth=1,
-        seed=spec.seed,
-    )
-
     msg_faults = PlannedMessageFaults(plan, clock)
-    network = FederationNetwork(msg_faults)
-    federation = Federation(
-        ShardRouter(owners),
-        subsystems,
-        network=network,
-        conflicts=conflicts,
-        clock=clock,
-        trace=trace,
-        indoubt_timeout=spec.indoubt_timeout,
-    )
     sub_faults = PlannedSubsystemFaults(
         plan, clock, max_consecutive=spec.max_consecutive
     )
-    for group in range(spec.service_groups):
-        for index in range(spec.processes_per_group):
-            pool = list(group_services[group])
-            if (
-                spec.service_groups > 1
-                and rng.random() < spec.cross_shard_fraction
-            ):
-                other = rng.randrange(spec.service_groups - 1)
-                if other >= group:
-                    other += 1
-                pool += group_services[other]
-            process = generate_process(rng, shape, f"P{group}-{index}", pool)
-            federation.submit(process, failures=sub_faults)
+    federation = build_federation(
+        spec,
+        clock,
+        FederationNetwork(msg_faults),
+        trace=trace,
+        backend_for=hub.backend_for if hub is not None else None,
+        failures=sub_faults,
+    )
 
     shard_names = spec.shard_names()
     kills = kill_schedule(plan, shard_names)

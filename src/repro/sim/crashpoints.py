@@ -18,7 +18,7 @@ operational: for a seeded workload it
 then re-runs :func:`~repro.subsystems.recovery.recover` and certifies
 the combined pre+post-crash history with the offline PRED/RED and
 termination checkers (shared with the chaos harness via
-:func:`~repro.sim.chaos.certify_history`).  Each crash point also
+:func:`~repro.sim.certify.certify_history`).  Each crash point also
 checks recovery *idempotence*: a second :func:`recover` must append
 nothing and abort nothing.
 
@@ -403,16 +403,10 @@ def _drive(scheduler, workload, failures) -> bool:
     ``process_submit`` records, and a crash there must be survivable
     like any other.
     """
-    rounds = 0
     try:
         for process in workload.processes:
             scheduler.submit(process, failures=failures)
-        while not scheduler.all_terminated():
-            if not scheduler.step_round():
-                scheduler.resolve_stall()
-            rounds += 1
-            if rounds > 100_000:
-                raise RuntimeError("crash-point workload failed to converge")
+        scheduler.run()
         return False
     except SimulatedCrash:
         return True

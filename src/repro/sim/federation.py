@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.conflict import ExplicitConflicts
 from repro.fed.federation import Federation
@@ -34,12 +34,14 @@ from repro.sim.certify import (
 )
 from repro.sim.clock import VirtualClock
 from repro.sim.workload import WorkloadSpec, generate_process
+from repro.subsystems.failures import FailurePolicy
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem
 
 __all__ = [
     "FederationSpec",
     "FederationResult",
+    "build_federation",
     "run_federation",
     "scaling_sweep",
     "kill_sweep",
@@ -155,21 +157,44 @@ def _shard_name(index: int) -> str:
     return f"s{index}"
 
 
-def _build(
-    spec: FederationSpec, trace: Optional[object] = None
-) -> Tuple[Federation, FederationRunner]:
+def build_federation(
+    spec,
+    clock: VirtualClock,
+    network: FederationNetwork,
+    trace: Optional[object] = None,
+    disjoint: bool = False,
+    backend_for: Optional[Callable[[str], object]] = None,
+    failures: Optional[FailurePolicy] = None,
+) -> Federation:
+    """The seeded federated fleet of a :class:`FederationSpec` or a
+    :class:`~repro.nemesis.executor.NemesisSpec`.
+
+    Group ``g`` is one subsystem ``grp<g>`` of counter services owned
+    by shard ``s<g % shards>``; every process draws its services from
+    its home group, and a ``cross_shard_fraction`` of them also from a
+    second group.  With ``disjoint`` each process gets a private slice
+    of its group's services.  ``backend_for(name)`` backs each
+    subsystem's store and ``failures`` is threaded to every process.
+
+    The RNG draw order (conflict pairs, then per process the
+    cross-shard draw and the process shape) is part of the contract:
+    benchmarks, CI seeds and saved nemesis bundles replay against it.
+    """
     rng = random.Random(spec.seed)
     group_services: List[List[str]] = []
     owners: Dict[str, str] = {}
     subsystems: List[Subsystem] = []
     per_group = spec.services_per_group * (
-        spec.processes_per_group if spec.disjoint_processes else 1
+        spec.processes_per_group if disjoint else 1
     )
     for group in range(spec.service_groups):
         shard = _shard_name(group % spec.shards)
         services = [f"g{group}s{index}" for index in range(per_group)]
         group_services.append(services)
-        subsystem = Subsystem(f"grp{group}")
+        name = f"grp{group}"
+        subsystem = Subsystem(
+            name, backend=backend_for(name) if backend_for else None
+        )
         for service in services:
             subsystem.register(counter_service(service, key=service))
             owners[service] = shard
@@ -191,17 +216,6 @@ def _build(
         max_depth=1,
         seed=spec.seed,
     )
-
-    clock = VirtualClock()
-    network = FederationNetwork(
-        MessageFaultPolicy(
-            drop_rate=spec.drop_rate,
-            delay_rate=spec.delay_rate,
-            delay_span=spec.delay_span,
-            duplicate_rate=spec.duplicate_rate,
-            seed=spec.seed,
-        )
-    )
     federation = Federation(
         ShardRouter(owners),
         subsystems,
@@ -214,7 +228,7 @@ def _build(
 
     for group in range(spec.service_groups):
         for index in range(spec.processes_per_group):
-            if spec.disjoint_processes:
+            if disjoint:
                 start = index * spec.services_per_group
                 pool = group_services[group][
                     start:start + spec.services_per_group
@@ -232,8 +246,26 @@ def _build(
             process = generate_process(
                 rng, shape, f"P{group}-{index}", pool
             )
-            federation.submit(process)
+            federation.submit(process, failures=failures)
+    return federation
 
+
+def _build(
+    spec: FederationSpec, trace: Optional[object] = None
+) -> Tuple[Federation, FederationRunner]:
+    clock = VirtualClock()
+    network = FederationNetwork(
+        MessageFaultPolicy(
+            drop_rate=spec.drop_rate,
+            delay_rate=spec.delay_rate,
+            delay_span=spec.delay_span,
+            duplicate_rate=spec.duplicate_rate,
+            seed=spec.seed,
+        )
+    )
+    federation = build_federation(
+        spec, clock, network, trace=trace, disjoint=spec.disjoint_processes
+    )
     runner = FederationRunner(
         federation,
         capacity=spec.shard_capacity,
