@@ -1,13 +1,14 @@
 """Discrete-event driver for a scheduler federation.
 
-One virtual clock, one event queue, N shards.  Each round the runner
-pumps the message layer (edge-exchange delivery, decision resends, the
+One virtual clock, one event queue, N shards, and one execution
+:class:`~repro.sim.runner.Lane` per shard — the same lane the
+single-scheduler runner drives.  Each round the runner pumps the
+message layer (edge-exchange delivery, decision resends, the
 termination protocol), then offers every live shard's runnable
 processes a dispatch chance subject to four gates:
 
-* the **local strong-order gate** (same as the single-shard runner): a
-  conflicting activity may not start while a conflicting one is in
-  flight on the same shard;
+* the lane's **strong-order gate**: a conflicting activity may not
+  start while a conflicting one is in flight on the same shard;
 * the **capacity gate**: at most ``capacity`` concurrently executing
   activities per shard — keeping per-shard capacity fixed is what makes
   the scaling sweep's aggregate throughput meaningful;
@@ -38,21 +39,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import ActionType
 from repro.core.schedule import AbortEvent, ActivityEvent, CommitEvent
-from repro.subsystems.recovery import scan_wal
 from repro.errors import SchedulerError
 from repro.fed.federation import Federation
 from repro.obs.bus import tracing
 from repro.obs.explain import DecisionRecord
 from repro.sim.engine import EventQueue
-from repro.sim.runner import DurationModel, constant_durations
+from repro.sim.runner import DurationModel, Lane, constant_durations
 
 __all__ = ["FederationRunMetrics", "FederationRunner"]
-
-
-@dataclass
-class _Flight:
-    process_id: str
-    conflict_service: str
 
 
 @dataclass
@@ -65,7 +59,6 @@ class FederationRunMetrics:
     dispatched: int = 0
     fed_deferrals: int = 0
     cross_victims: int = 0
-    iterations: int = 0
     #: (start, end) per terminated process.
     process_spans: Dict[str, Tuple[float, float]] = field(
         default_factory=dict
@@ -99,14 +92,16 @@ class FederationRunner:
         if federation.trace is not None:
             federation.trace.attach_clock(self.queue.clock)
         self._max_iterations = max_iterations
-        self._flights: Dict[str, List[_Flight]] = {
-            shard: [] for shard in federation.shards
-        }
-        self._busy: Dict[str, Set[str]] = {
-            shard: set() for shard in federation.shards
-        }
-        self._cursor: Dict[str, int] = {
-            shard: 0 for shard in federation.shards
+        #: One execution lane per shard on the shared queue.
+        self._lanes: Dict[str, Lane] = {
+            shard_id: Lane(
+                shard.scheduler,
+                self.queue,
+                self.durations,
+                trace=federation.trace,
+                shard=shard_id,
+            )
+            for shard_id, shard in federation.shards.items()
         }
         #: Last federation-gate decision per process, to avoid
         #: re-recording (and re-tracing) an unchanged deferral every
@@ -145,22 +140,16 @@ class FederationRunner:
     def _kill_event(self, shard_id: str):
         def fire() -> None:
             self.fed.kill(shard_id, self.queue.clock.now)
-            # In-flight activities die with the shard: their events are
-            # logged (they happened), but completions never fire.
-            for flight in self._flights[shard_id]:
-                self._busy[shard_id].discard(flight.process_id)
-            self._flights[shard_id] = []
-            self._busy[shard_id] = set()
+            # In-flight activities die with the shard.
+            self._lanes[shard_id].clear()
 
         return fire
 
     def _recover_event(self, shard_id: str):
         def fire() -> None:
             self.fed.recover_shard(shard_id, self.queue.clock.now)
-            shard = self.fed.shards[shard_id]
-            self._cursor[shard_id] = shard.scheduler.timeline_length()
-            self._busy[shard_id] = set()
-            self._flights[shard_id] = []
+            # Recovery built the shard a new scheduler.
+            self._lanes[shard_id].clear(self.fed.shards[shard_id].scheduler)
 
         return fire
 
@@ -171,25 +160,6 @@ class FederationRunner:
         return fire
 
     # -- gating --------------------------------------------------------
-
-    def _local_gated(self, shard_id: str, pid: str) -> bool:
-        """Strong temporal order within the shard (conflicting overlap)."""
-        scheduler = self.fed.shards[shard_id].scheduler
-        managed = scheduler.managed(pid)
-        action = managed.instance.next_action()
-        if action.type is ActionType.FINISHED or action.activity is None:
-            return False
-        definition = managed.instance.definition(action.activity)
-        service = definition.service
-        if service is None:
-            return False
-        relation = scheduler.conflicts
-        for flight in self._flights[shard_id]:
-            if flight.process_id == pid:
-                continue
-            if relation.conflicts(flight.conflict_service, service):
-                return True
-        return False
 
     def _fed_gate(
         self, shard_id: str, pid: str, now: float
@@ -313,13 +283,14 @@ class FederationRunner:
         if not shard.alive:
             return False
         scheduler = shard.scheduler
+        lane = self._lanes[shard_id]
         progressed = False
         for pid in scheduler.instance_ids():
-            if scheduler.is_terminated(pid) or pid in self._busy[shard_id]:
+            if scheduler.is_terminated(pid) or pid in lane.busy:
                 continue
-            if len(self._flights[shard_id]) >= self.capacity:
+            if len(lane.flights) >= self.capacity:
                 break
-            if self._local_gated(shard_id, pid):
+            if lane.gated(pid):
                 continue
             gate = self._fed_gate(shard_id, pid, now)
             if gate is not None:
@@ -344,8 +315,7 @@ class FederationRunner:
         return progressed
 
     def _absorb(self, shard_id: str, before: int, now: float) -> None:
-        shard = self.fed.shards[shard_id]
-        scheduler = shard.scheduler
+        scheduler = self.fed.shards[shard_id].scheduler
         for index in range(before, scheduler.timeline_length()):
             event = scheduler.timeline_event(index)
             if isinstance(event, ActivityEvent):
@@ -358,25 +328,8 @@ class FederationRunner:
                         event.activity.direction.exponent,
                     ),
                 )
-                duration = self.durations(event.conflict_service)
-                flight = _Flight(event.process_id, event.conflict_service)
-                self._flights[shard_id].append(flight)
-                self._busy[shard_id].add(event.process_id)
-                self.queue.schedule(
-                    duration, self._completion(shard_id, flight)
-                )
+                self._lanes[shard_id].launch(index, event)
                 self.metrics.dispatched += 1
-                bus = tracing(self.fed.trace)
-                if bus is not None:
-                    bus.emit(
-                        "exec",
-                        process=event.process_id,
-                        activity=event.activity.activity_name,
-                        service=event.service,
-                        duration=duration,
-                        direction=event.activity.direction.exponent,
-                        shard=shard_id,
-                    )
             elif isinstance(event, (CommitEvent, AbortEvent)):
                 kind = (
                     "commit" if isinstance(event, CommitEvent) else "abort"
@@ -389,19 +342,6 @@ class FederationRunner:
                     self.metrics.committed += 1
                 else:
                     self.metrics.aborted += 1
-
-    def _completion(self, shard_id: str, flight: _Flight):
-        def on_finish() -> None:
-            flights = self._flights[shard_id]
-            if flight not in flights:
-                return  # the shard was killed while this was in flight
-            flights.remove(flight)
-            if not any(
-                other.process_id == flight.process_id for other in flights
-            ):
-                self._busy[shard_id].discard(flight.process_id)
-
-        return on_finish
 
     # -- stall resolution ----------------------------------------------
 
@@ -463,7 +403,7 @@ class FederationRunner:
             all(shard.alive for shard in self.fed.shards.values())
             and self.fed.all_terminated()
             and self.fed.quiescent()
-            and not any(self._flights.values())
+            and not any(lane.flights for lane in self._lanes.values())
         )
 
     def run(self) -> FederationRunMetrics:
@@ -482,7 +422,7 @@ class FederationRunner:
                 self.on_round(now)
             if progressed:
                 continue
-            if any(self._flights.values()):
+            if any(lane.flights for lane in self._lanes.values()):
                 self.queue.run_next()
                 continue
             if not self.queue.empty:
@@ -497,18 +437,12 @@ class FederationRunner:
         while not self.queue.empty:
             self.queue.run_next()
         self.metrics.makespan = self.queue.clock.now
-        self.metrics.iterations = iterations
         # Terminations applied inside shard recovery (B-REC/F-REC of
         # processes that were live at the kill) never pass through the
         # runner's event flow, and a recovered scheduler only re-manages
         # processes that were still live at the crash — the WAL is the
         # one place every outcome is durable.  Tally from there.
-        committed: Set[str] = set()
-        aborted: Set[str] = set()
-        for shard in self.fed.shards.values():
-            scan = scan_wal(shard.wal)
-            committed |= scan.committed
-            aborted |= scan.aborted
+        committed, aborted = self.fed.wal_outcomes()
         self.metrics.committed = len(committed)
         self.metrics.aborted = len(aborted - committed)
         return self.metrics

@@ -32,6 +32,7 @@ from repro.core.instance import ActionType
 from repro.core.process import Process
 from repro.core.schedule import AbortEvent, ActivityEvent, CommitEvent
 from repro.errors import SchedulerError
+from repro.obs.bus import tracing
 from repro.sim.engine import EventQueue
 from repro.sim.metrics import RunMetrics
 from repro.subsystems.failures import FailurePolicy
@@ -40,6 +41,7 @@ __all__ = [
     "Arrival",
     "DurationModel",
     "constant_durations",
+    "Lane",
     "SimulationRunner",
     "simulate_run",
 ]
@@ -74,7 +76,126 @@ class Arrival:
 class _InFlight:
     process_id: str
     conflict_service: str
-    finish_time: float
+
+
+class Lane:
+    """Everything one scheduler needs to execute activities in time.
+
+    Owns the scheduler's in-flight activities, the set of busy
+    processes and the strong-order gate (paper §3.6: a conflicting
+    activity may not start while another one is executing).  Both
+    event loops launch activities through lanes on their shared
+    :class:`~repro.sim.engine.EventQueue` — the single-scheduler runner
+    drives one, the federation runner one per shard.
+    """
+
+    def __init__(
+        self,
+        scheduler,
+        queue: EventQueue,
+        durations: DurationModel,
+        strong: bool = True,
+        trace: Optional[object] = None,
+        shard: Optional[str] = None,
+    ) -> None:
+        self.scheduler = scheduler
+        self.queue = queue
+        self.durations = durations
+        self.strong = strong
+        self.trace = trace
+        #: Shard id stamped on ``exec`` trace events (federated lanes).
+        self.shard = shard
+        self.flights: List[_InFlight] = []
+        self.busy: Set[str] = set()
+        #: Pairwise service-conflict memo for the strong-order gate,
+        #: dropped whenever the conflict relation's version moves
+        #: (mid-run declare/retract/register).
+        self._conflict_memo: Dict[Tuple[str, str], bool] = {}
+        self._conflict_memo_version: Optional[int] = None
+
+    def gated(self, pid: str) -> bool:
+        """Would dispatching ``pid``'s next action violate strong order?"""
+        if not self.strong:
+            return False
+        managed = self.scheduler.managed(pid)
+        action = managed.instance.next_action()
+        if action.type is ActionType.FINISHED or action.activity is None:
+            return False
+        service = managed.instance.definition(action.activity).service
+        if service is None:
+            return False
+        relation = self.scheduler.conflicts
+        version = getattr(relation, "version", 0)
+        if version != self._conflict_memo_version:
+            self._conflict_memo_version = version
+            self._conflict_memo.clear()
+        memo = self._conflict_memo
+        for flight in self.flights:
+            if flight.process_id == pid:
+                continue
+            key = (flight.conflict_service, service)
+            conflicting = memo.get(key)
+            if conflicting is None:
+                conflicting = relation.conflicts(*key)
+                memo[key] = conflicting
+            if conflicting:
+                return True
+        return False
+
+    def launch(self, index: int, event: ActivityEvent) -> float:
+        """Start the activity at timeline ``index``; returns its duration.
+
+        The duration is the service's plus any latency spike injected
+        into the invocation (schedulers without the hook have none).
+        """
+        duration = self.durations(event.conflict_service)
+        latency_of = getattr(self.scheduler, "timeline_latency", None)
+        if latency_of is not None:
+            duration += latency_of(index)
+        flight = _InFlight(event.process_id, event.conflict_service)
+        self.flights.append(flight)
+        self.busy.add(event.process_id)
+        self.queue.schedule(duration, self._completion(flight))
+        bus = tracing(self.trace)
+        if bus is not None:
+            shard = {} if self.shard is None else {"shard": self.shard}
+            bus.emit(
+                "exec",
+                process=event.process_id,
+                activity=event.activity.activity_name,
+                service=event.service,
+                duration=duration,
+                direction=event.activity.direction.exponent,
+                **shard,
+            )
+        return duration
+
+    def _completion(self, flight: _InFlight) -> Callable[[], None]:
+        def on_finish() -> None:
+            if flight not in self.flights:
+                return  # the lane was cleared while this was in flight
+            self.flights.remove(flight)
+            # The process stays busy while *any* of its activities runs.
+            if not any(
+                other.process_id == flight.process_id
+                for other in self.flights
+            ):
+                self.busy.discard(flight.process_id)
+
+        return on_finish
+
+    def clear(self, scheduler=None) -> None:
+        """Drop every in-flight activity (a shard kill or recovery).
+
+        The dropped activities' events stay logged (they happened) but
+        their completions never fire.  Recovery passes the shard's new
+        scheduler, which takes the lane over.
+        """
+        self.flights.clear()
+        self.busy.clear()
+        if scheduler is not None:
+            self.scheduler = scheduler
+            self._conflict_memo_version = None
 
 
 class SimulationRunner:
@@ -106,13 +227,6 @@ class SimulationRunner:
         self.order = order
         self._max_iterations = max_iterations
         self.queue = EventQueue()
-        self._in_flight: List[_InFlight] = []
-        self._busy: Set[str] = set()
-        #: Pairwise service-conflict memo for the strong-order gate,
-        #: dropped whenever the conflict relation's version moves
-        #: (mid-run declare/retract/register).
-        self._conflict_memo: Dict[Tuple[str, str], bool] = {}
-        self._conflict_memo_version: Optional[int] = None
         #: instance id -> virtual arrival time; before it, the instance
         #: is not dispatched (open-system workloads).  Unlisted
         #: instances arrive at time 0.
@@ -134,40 +248,16 @@ class SimulationRunner:
         self.trace = getattr(scheduler, "trace", None)
         if self.trace is not None:
             self.trace.attach_clock(self.queue.clock)
+        self.lane = Lane(
+            scheduler,
+            self.queue,
+            self.durations,
+            strong=order == "strong",
+            trace=self.trace,
+        )
         #: Metrics registry (PRED scheduler only): the runner feeds
         #: activity-duration and process-sojourn histograms.
         self._metrics_registry = getattr(scheduler, "metrics", None)
-
-    # -- gating ---------------------------------------------------------------
-
-    def _gated(self, pid: str) -> bool:
-        """Would dispatching ``pid``'s next action violate strong order?"""
-        if self.order != "strong":
-            return False
-        managed = self.scheduler.managed(pid)
-        action = managed.instance.next_action()
-        if action.type is ActionType.FINISHED or action.activity is None:
-            return False
-        definition = managed.instance.definition(action.activity)
-        service = definition.service
-        assert service is not None
-        relation = self.scheduler.conflicts
-        version = getattr(relation, "version", 0)
-        if version != self._conflict_memo_version:
-            self._conflict_memo_version = version
-            self._conflict_memo.clear()
-        memo = self._conflict_memo
-        for flight in self._in_flight:
-            if flight.process_id == pid:
-                continue
-            key = (flight.conflict_service, service)
-            conflicting = memo.get(key)
-            if conflicting is None:
-                conflicting = relation.conflicts(*key)
-                memo[key] = conflicting
-            if conflicting:
-                return True
-        return False
 
     # -- the simulation loop ----------------------------------------------------
 
@@ -186,6 +276,7 @@ class SimulationRunner:
             self._pending_offers += 1
             self.queue.schedule_at(offer.time, self._offer_event(offer, metrics))
 
+        lane = self.lane
         pump = getattr(scheduler, "pump_admission", None)
         order_of = getattr(scheduler, "dispatch_order", None)
         while not self._finished():
@@ -202,11 +293,11 @@ class SimulationRunner:
                 self._sample_queue_depth(metrics)
             order = order_of() if order_of is not None else scheduler.instance_ids()
             for pid in order:
-                if scheduler.is_terminated(pid) or pid in self._busy:
+                if scheduler.is_terminated(pid) or pid in lane.busy:
                     continue
                 if self.arrivals.get(pid, 0.0) > now:
                     continue
-                if self._gated(pid):
+                if lane.gated(pid):
                     continue
                 before = scheduler.timeline_length()
                 if not scheduler.step_instance(pid):
@@ -218,7 +309,7 @@ class SimulationRunner:
                 self._absorb_new_events(pid, before, metrics, spans_start)
             if progressed:
                 continue
-            if self._in_flight:
+            if lane.flights:
                 # Activities are executing; their completion events end
                 # the wait.
                 self.queue.run_next()
@@ -299,32 +390,11 @@ class SimulationRunner:
         spans_start: Dict[str, float],
     ) -> None:
         now = self.queue.clock.now
-        latency_of = getattr(self.scheduler, "timeline_latency", None)
-        trace = self.trace
         registry = self._metrics_registry
         for index in range(before, self.scheduler.timeline_length()):
             event = self.scheduler.timeline_event(index)
             if isinstance(event, ActivityEvent):
-                duration = self.durations(event.conflict_service)
-                if latency_of is not None:
-                    duration += latency_of(index)
-                flight = _InFlight(
-                    process_id=event.process_id,
-                    conflict_service=event.conflict_service,
-                    finish_time=now + duration,
-                )
-                self._in_flight.append(flight)
-                self._busy.add(event.process_id)
-                self.queue.schedule(duration, self._completion(flight))
-                if trace is not None and trace.enabled:
-                    trace.emit(
-                        "exec",
-                        process=event.process_id,
-                        activity=event.activity.activity_name,
-                        service=event.service,
-                        duration=duration,
-                        direction=event.activity.direction.exponent,
-                    )
+                duration = self.lane.launch(index, event)
                 if registry is not None:
                     registry.histogram("sim.activity_duration").observe(
                         duration
@@ -340,18 +410,6 @@ class SimulationRunner:
                     metrics.processes_committed += 1
                 else:
                     metrics.processes_aborted += 1
-
-    def _completion(self, flight: _InFlight) -> Callable[[], None]:
-        def on_finish() -> None:
-            self._in_flight.remove(flight)
-            # The process stays busy while *any* of its activities runs.
-            if not any(
-                other.process_id == flight.process_id
-                for other in self._in_flight
-            ):
-                self._busy.discard(flight.process_id)
-
-        return on_finish
 
     def _fill_stats(self, metrics: RunMetrics) -> None:
         perf_snapshot = getattr(self.scheduler, "perf_snapshot", None)

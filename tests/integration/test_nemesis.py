@@ -20,6 +20,7 @@ import pytest
 from repro.cli import main
 from repro.nemesis import (
     CanaryInvariant,
+    FaultAction,
     FaultPlan,
     NemesisSpec,
     default_invariants,
@@ -147,6 +148,31 @@ class TestRunPlanCertification:
         snapshot = registry.snapshot()
         assert snapshot["nemesis_plans_run"] == 1
         assert "nemesis_fault_site_coverage_percent" in snapshot
+
+
+class TestLatencyFaults:
+    def test_latency_spikes_delay_federated_activities(self):
+        """A delivered spike lengthens the activity it hit, so planned
+        spikes on every service must stretch the run."""
+        spec = NemesisSpec(seed=3)
+        spikes = FaultPlan(
+            seed=1,
+            actions=tuple(
+                FaultAction(
+                    kind="latency",
+                    target=service,
+                    at=0.0,
+                    duration=100.0,
+                    param=5.0,
+                )
+                for service in spec.service_names()
+            ),
+        )
+        slow = run_plan(spec, spikes)
+        fast = run_plan(spec, FaultPlan(seed=1, actions=()))
+        assert slow.clean and fast.clean
+        assert slow.coverage.counts["subsystem:latency"] > 0
+        assert slow.metrics.makespan > fast.metrics.makespan
 
 
 class TestNemesisCli:
