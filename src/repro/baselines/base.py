@@ -20,7 +20,7 @@ equal footing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.activity import ActivityDef, ActivityId, Direction
@@ -88,18 +88,14 @@ class BaselineScheduler:
         self,
         registry: Optional[SubsystemRegistry] = None,
         conflicts: Optional[ConflictRelation] = None,
-        use_semantic_conflicts: bool = True,
         auto_provision: bool = True,
         max_rounds: int = 100_000,
     ) -> None:
         self.registry = registry if registry is not None else SubsystemRegistry()
         explicit = conflicts if conflicts is not None else NoConflicts()
-        if use_semantic_conflicts:
-            self.conflicts: ConflictRelation = UnionConflicts(
-                (explicit, self.registry.semantic_conflicts())
-            )
-        else:
-            self.conflicts = explicit
+        self.conflicts: ConflictRelation = UnionConflicts(
+            (explicit, self.registry.semantic_conflicts())
+        )
         self._auto_provision = auto_provision
         self._max_rounds = max_rounds
         self._managed: Dict[str, BaselineProcess] = {}

@@ -33,7 +33,6 @@ state.  Runtime state lives in :class:`repro.core.instance.ProcessInstance`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -252,9 +251,6 @@ class Process:
             for successor in self.direct_successors(name)
             if successor not in branches
         )
-
-    def is_alternative_branch(self, source: str, branch: str) -> bool:
-        return branch in self.alternatives(source)
 
     def roots(self) -> Tuple[str, ...]:
         """Activities with no predecessor (the process entry points)."""

@@ -71,11 +71,9 @@ from typing import (
     Deque,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -92,7 +90,6 @@ from repro.core.conflict import (
     ConflictRelation,
     NoConflicts,
     UnionConflicts,
-    normalize_service,
 )
 from repro.core.instance import (
     Action,
@@ -307,7 +304,6 @@ class TransactionalProcessScheduler:
         conflicts: Optional[ConflictRelation] = None,
         rules: Optional[SchedulerRules] = None,
         wal: Optional[WriteAheadLog] = None,
-        use_semantic_conflicts: bool = True,
         auto_provision: bool = True,
         interleaving: Optional[Callable[[List[str]], List[str]]] = None,
         resilience: Optional[ResilienceManager] = None,
@@ -327,12 +323,9 @@ class TransactionalProcessScheduler:
         self.resilience = resilience
         self._auto_provision = auto_provision
         explicit = conflicts if conflicts is not None else NoConflicts()
-        if use_semantic_conflicts:
-            self.conflicts: ConflictRelation = UnionConflicts(
-                (explicit, self.registry.semantic_conflicts())
-            )
-        else:
-            self.conflicts = explicit
+        self.conflicts: ConflictRelation = UnionConflicts(
+            (explicit, self.registry.semantic_conflicts())
+        )
         self._managed: Dict[str, ManagedProcess] = {}
         self._log: List[_LogEntry] = []
         #: Injectable atomic-commitment coordinator: the federation
@@ -1987,14 +1980,6 @@ class TransactionalProcessScheduler:
                 ):
                     graph[left.process_id].add(right.process_id)
         return graph
-
-    def _has_path(self, source: str, target: str) -> bool:
-        if source == target:
-            return False
-        # Reachability over the incremental graph; the maintained
-        # topological order prunes the search (or settles it outright
-        # when the order already separates the endpoints).
-        return self._graph_sync().has_path(source, target)
 
     def _completion_of(self, managed: ManagedProcess):
         """The instance's completion, memoised per trace length.

@@ -76,10 +76,6 @@ class SearchResult:
     def found(self) -> bool:
         return self.violation is not None
 
-    @property
-    def minimal_plan(self) -> Optional[FaultPlan]:
-        return self.shrunk.plan if self.shrunk is not None else None
-
     def summary(self) -> str:
         if not self.found:
             return (

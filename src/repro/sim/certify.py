@@ -7,9 +7,7 @@ bits, and raise :class:`~repro.errors.CorrectnessViolation` with an
 ad-hoc message when the verdict is dirty.  This module unifies them:
 
 * :class:`Certification` / :func:`certify_history` — the offline
-  verdict (PRED, reducibility, guaranteed termination), unchanged from
-  its original home in :mod:`repro.sim.chaos` (which re-exports both
-  for back-compat);
+  verdict (PRED, reducibility, guaranteed termination);
 * :func:`ensure_certified` — the single raise site.  Every harness
   passes its verdict plus structured context (harness name, seed,
   extra audit findings) and gets a :class:`CorrectnessViolation`

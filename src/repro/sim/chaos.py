@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.scheduler import TransactionalProcessScheduler
 from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
-from repro.sim.certify import Certification, certify_history, ensure_certified
+from repro.sim.certify import certify_history, ensure_certified
 from repro.sim.metrics import RunMetrics
 from repro.sim.runner import SimulationRunner
 from repro.sim.workload import WorkloadSpec, generate_workload
@@ -35,16 +35,10 @@ from repro.subsystems.subsystem import SubsystemRegistry
 __all__ = [
     "ChaosSpec",
     "ChaosResult",
-    "Certification",
-    "certify_history",
     "default_mixes",
     "run_chaos",
     "chaos_sweep",
 ]
-
-
-# ``Certification`` and ``certify_history`` live in
-# :mod:`repro.sim.certify` now; re-exported here for back-compat.
 
 
 @dataclass(frozen=True)

@@ -209,18 +209,3 @@ class RunMetrics:
             "certified": int(self.perf.get("certified_prefixes", 0)),
             "certify_ms": round(self.perf.get("certify_ms", 0.0), 2),
         }
-
-    def resilience_row(self) -> Dict[str, object]:
-        """Flat row of the resilience/chaos counters."""
-        return {
-            "scheduler": self.scheduler_name,
-            "faults": self.faults_injected,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "breaker_trips": self.breaker_trips,
-            "recoveries": self.breaker_recoveries,
-            "degradations": self.degradations,
-            "committed": self.processes_committed,
-            "aborted": self.processes_aborted,
-            "pred": self.prefix_reducible,
-        }

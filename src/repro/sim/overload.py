@@ -9,7 +9,7 @@ rates as offered load rises past saturation — the healthy signature is
 a goodput plateau with bounded p95 sojourn, not congestion collapse.
 
 Every run is certified by the same offline checkers the chaos harness
-uses (:func:`repro.sim.chaos.certify_history`), and additionally
+uses (:func:`repro.sim.certify.certify_history`), and additionally
 asserts the admission layer's invariant: **no process with a committed
 pivot (F-REC) is ever shed** — shed processes are always fully
 compensated B-REC cancellations.

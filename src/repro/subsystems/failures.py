@@ -247,16 +247,8 @@ class DiskFaultPolicy:
 
     # -- arming -----------------------------------------------------------
 
-    def fail_next_fsyncs(self, count: int) -> "DiskFaultPolicy":
-        self.fail_fsync = count
-        return self
-
     def tear_at(self, offset: int) -> "DiskFaultPolicy":
         self.torn_write_offset = offset
-        return self
-
-    def arm_short_read(self) -> "DiskFaultPolicy":
-        self.short_read = True
         return self
 
     # -- consumption (called by backends) ---------------------------------

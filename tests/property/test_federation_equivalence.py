@@ -21,7 +21,7 @@ from repro.core.flex import build_process, comp, pivot, retr, seq
 from repro.fed.federation import Federation
 from repro.fed.router import ShardRouter
 from repro.fed.runner import FederationRunner
-from repro.sim.chaos import certify_history
+from repro.sim.certify import certify_history
 from repro.sim.clock import VirtualClock
 from repro.sim.federation import FederationSpec, _build
 from repro.subsystems.services import counter_service

@@ -19,7 +19,7 @@ from repro.core.scheduler import (
     ManagedStatus,
     TransactionalProcessScheduler,
 )
-from repro.sim.chaos import certify_history
+from repro.sim.certify import certify_history
 from repro.sim.runner import Arrival, SimulationRunner
 from repro.sim.workload import (
     ArrivalSpec,
