@@ -86,18 +86,18 @@ class FederationRunner:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.fed = federation
-        self.durations = durations or constant_durations()
         self.capacity = capacity
         self.queue = EventQueue(clock=federation.clock)  # type: ignore[arg-type]
         if federation.trace is not None:
             federation.trace.attach_clock(self.queue.clock)
         self._max_iterations = max_iterations
         #: One execution lane per shard on the shared queue.
+        durations = durations or constant_durations()
         self._lanes: Dict[str, Lane] = {
             shard_id: Lane(
                 shard.scheduler,
                 self.queue,
-                self.durations,
+                durations,
                 trace=federation.trace,
                 shard=shard_id,
             )

@@ -223,8 +223,6 @@ class SimulationRunner:
             offers or [], key=lambda arrival: arrival.time
         )
         self._pending_offers = 0
-        self.durations = durations or constant_durations()
-        self.order = order
         self._max_iterations = max_iterations
         self.queue = EventQueue()
         #: instance id -> virtual arrival time; before it, the instance
@@ -251,7 +249,7 @@ class SimulationRunner:
         self.lane = Lane(
             scheduler,
             self.queue,
-            self.durations,
+            durations or constant_durations(),
             strong=order == "strong",
             trace=self.trace,
         )
