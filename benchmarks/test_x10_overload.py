@@ -19,22 +19,20 @@ exists to prevent.
 
 from dataclasses import replace
 
-from repro.sim.overload import (
-    OverloadSpec,
+from repro.sim.harness import (
+    OVERLOAD,
     estimate_capacity,
-    overload_sweep,
-    run_overload,
+    harness_sweep,
+    run_harness,
 )
 from repro.sim.workload import WorkloadSpec
 
 SEEDS = (0, 1, 2)
 
-BASE = OverloadSpec(
+BASE = replace(
+    OVERLOAD,
     workload=WorkloadSpec(processes=40, service_pool=16, conflict_rate=0.03),
-    max_active=4,
-    max_queue_depth=8,
-    max_queue_age=10.0,
-    shed_policy="shed-youngest-brec",
+    admission=replace(OVERLOAD.admission, max_active=4, max_queue_depth=8),
 )
 
 
@@ -48,12 +46,12 @@ def test_x10_overload_sweep(benchmark, report):
     by_factor = {}
     rows = []
     for factor in factors:
-        results = overload_sweep(
-            [capacity * factor], base=BASE, seeds=SEEDS
+        results = harness_sweep(
+            [replace(BASE, offered_load=capacity * factor)], seeds=SEEDS
         )
         by_factor[factor] = results
         for result in results:
-            rows.append({"x_cap": factor, **result.row()})
+            rows.append({"x_cap": factor, **result.load_row()})
 
     # Hard acceptance: every run certifies and the shed set is pure
     # B-REC — no process with a committed pivot was ever cancelled.
@@ -75,7 +73,7 @@ def test_x10_overload_sweep(benchmark, report):
     # Bounded tail latency: admitted-and-committed work never waits
     # unboundedly, because the queue is depth- and age-bounded.
     worst_p95 = max(
-        r.row()["sojourn_p95"]
+        r.load_row()["sojourn_p95"]
         for results in by_factor.values()
         for r in results
     )
@@ -115,7 +113,7 @@ def test_x10_overload_sweep(benchmark, report):
                     4,
                 ),
                 "worst_p95": max(
-                    r.row()["sojourn_p95"] for r in by_factor[factor]
+                    r.load_row()["sojourn_p95"] for r in by_factor[factor]
                 ),
                 "frec_sheds": sum(
                     r.frec_sheds for r in by_factor[factor]
@@ -126,8 +124,8 @@ def test_x10_overload_sweep(benchmark, report):
         title="X10 — per-load means: the plateau",
     )
     benchmark.pedantic(
-        run_overload,
-        args=(BASE.with_load(capacity * 2),),
+        run_harness,
+        args=(replace(BASE, offered_load=capacity * 2),),
         rounds=3,
         iterations=1,
     )
@@ -144,28 +142,32 @@ def test_x10_bounded_door_beats_open_door(benchmark, report):
     bounded_p95s, open_p95s = [], []
     bounded_aborts, open_aborts = [], []
     for seed in SEEDS:
-        bounded = run_overload(BASE.with_load(load).with_seed(seed))
-        opened = run_overload(
+        spec = replace(BASE, offered_load=load, seed=seed)
+        bounded = run_harness(spec)
+        opened = run_harness(
             replace(
-                BASE.with_load(load).with_seed(seed),
-                max_active=None,
-                max_queue_depth=BASE.workload.processes + 1,
-                max_queue_age=None,
-                shed_policy="reject-new",
+                spec,
+                admission=replace(
+                    BASE.admission,
+                    max_active=None,
+                    max_queue_depth=BASE.workload.processes + 1,
+                    max_queue_age=None,
+                    shed_policy="reject-new",
+                ),
             ),
             certify=False,
         )
-        bounded_p95s.append(bounded.row()["sojourn_p95"])
-        open_p95s.append(opened.row()["sojourn_p95"])
+        bounded_p95s.append(bounded.load_row()["sojourn_p95"])
+        open_p95s.append(opened.load_row()["sojourn_p95"])
         bounded_aborts.append(bounded.metrics.processes_aborted)
         open_aborts.append(opened.metrics.processes_aborted)
         rows.append(
             {
                 "seed": seed,
-                "goodput (bounded)": bounded.row()["goodput"],
-                "goodput (open)": opened.row()["goodput"],
-                "p95 (bounded)": bounded.row()["sojourn_p95"],
-                "p95 (open)": opened.row()["sojourn_p95"],
+                "goodput (bounded)": bounded.load_row()["goodput"],
+                "goodput (open)": opened.load_row()["goodput"],
+                "p95 (bounded)": bounded.load_row()["sojourn_p95"],
+                "p95 (open)": opened.load_row()["sojourn_p95"],
                 "aborted (bounded)": bounded.metrics.processes_aborted,
                 "aborted (open)": opened.metrics.processes_aborted,
                 "shed (bounded)": bounded.metrics.processes_shed,
@@ -186,8 +188,8 @@ def test_x10_bounded_door_beats_open_door(benchmark, report):
         ),
     )
     benchmark.pedantic(
-        run_overload,
-        args=(BASE.with_load(load),),
+        run_harness,
+        args=(replace(BASE, offered_load=load),),
         rounds=3,
         iterations=1,
     )

@@ -12,21 +12,21 @@ least one ◁-alternative without exhausting a retry budget — the
 degradation hook pays for itself.
 """
 
-from repro.sim.chaos import chaos_sweep, default_mixes, run_chaos
+from repro.sim.harness import default_mixes, harness_sweep, run_harness
 
 
 def test_x8_chaos_sweep(benchmark, report):
-    results = chaos_sweep(seeds=(0, 1, 2))
+    results = harness_sweep(seeds=(0, 1, 2))
 
     # Hard acceptance: every run certifies and the sweep degrades at
     # least once without any retry-budget exhaustion driving it.
     assert all(result.certified for result in results)
-    assert all(result.terminated for result in results)
+    assert all(result.certification.terminated for result in results)
     degradations = sum(result.counters["degradations"] for result in results)
     assert degradations >= 1
 
     report(
-        [result.row() for result in results],
+        [result.chaos_row() for result in results],
         title="X8 — chaos sweep: standard fault mixes × seeds 0-2",
     )
     totals = {
@@ -43,7 +43,7 @@ def test_x8_chaos_sweep(benchmark, report):
     }
     report([totals], title="X8 — sweep totals")
     benchmark.pedantic(
-        run_chaos, args=(default_mixes()[-1],), rounds=3, iterations=1
+        run_harness, args=(default_mixes()[-1],), rounds=3, iterations=1
     )
 
 
@@ -56,8 +56,8 @@ def test_x8_degradation_beats_waiting(benchmark, report):
     spec = default_mixes()[3]  # crashes
     rows = []
     for seed in (0, 1, 2):
-        with_alternatives = run_chaos(spec.with_seed(seed), certify=False)
-        without = run_chaos(
+        with_alternatives = run_harness(spec.with_seed(seed), certify=False)
+        without = run_harness(
             replace(
                 spec.with_seed(seed),
                 workload=replace(spec.workload, alternative_probability=0.0),
@@ -67,19 +67,20 @@ def test_x8_degradation_beats_waiting(benchmark, report):
         rows.append(
             {
                 "seed": seed,
-                "makespan (alts)": with_alternatives.row()["makespan"],
-                "makespan (none)": without.row()["makespan"],
-                "committed (alts)": with_alternatives.row()["committed"],
-                "committed (none)": without.row()["committed"],
+                "makespan (alts)": with_alternatives.chaos_row()["makespan"],
+                "makespan (none)": without.chaos_row()["makespan"],
+                "committed (alts)": with_alternatives.chaos_row()["committed"],
+                "committed (none)": without.chaos_row()["committed"],
                 "degradations": with_alternatives.counters["degradations"],
             }
         )
-        assert with_alternatives.terminated and without.terminated
+        assert with_alternatives.certification.terminated
+        assert without.certification.terminated
     report(
         rows,
         title="X8 — crash mix: processes with vs without ◁-alternatives",
     )
     benchmark.pedantic(
-        run_chaos, args=(spec,), kwargs={"certify": False},
+        run_harness, args=(spec,), kwargs={"certify": False},
         rounds=3, iterations=1,
     )

@@ -436,7 +436,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.sim.chaos import ChaosSpec, chaos_sweep, default_mixes
+    from repro.sim.harness import default_mixes, harness_sweep
 
     if args.mix == "all":
         mixes = default_mixes(processes=args.processes)
@@ -455,10 +455,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     mixes = [
         replace(
             spec,
-            timeout=args.timeout,
-            max_attempts=args.max_attempts,
-            breaker_threshold=args.breaker_threshold,
-            breaker_reset=args.breaker_reset,
+            retry=replace(
+                spec.retry,
+                timeout=args.timeout,
+                max_attempts=args.max_attempts,
+            ),
+            breaker=replace(
+                spec.breaker,
+                failure_threshold=args.breaker_threshold,
+                reset_timeout=args.breaker_reset,
+            ),
             backend=args.backend,
             **overrides,
         )
@@ -466,8 +472,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     ]
     obs = _ObsSession(args)
     try:
-        results = chaos_sweep(
-            mixes=mixes,
+        results = harness_sweep(
+            mixes,
             seeds=args.seeds,
             certify=not args.no_certify,
             trace=obs.bus,
@@ -481,7 +487,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(note, file=sys.stderr)
     print(
         format_table(
-            [result.row() for result in results],
+            [result.chaos_row() for result in results],
             title=f"chaos sweep (seeds {args.seeds})",
         )
     )
@@ -555,22 +561,24 @@ def _cmd_crashpoints(args: argparse.Namespace) -> int:
 
 
 def _cmd_overload(args: argparse.Namespace) -> int:
-    from repro.sim.overload import (
-        OverloadSpec,
-        estimate_capacity,
-        overload_sweep,
-    )
+    from dataclasses import replace
 
-    base = OverloadSpec(
+    from repro.sim.harness import OVERLOAD, estimate_capacity, harness_sweep
+
+    base = replace(
+        OVERLOAD,
         workload=WorkloadSpec(
             processes=args.processes,
             service_pool=16,
             conflict_rate=args.conflicts,
         ),
-        max_active=args.max_active,
-        max_queue_depth=args.queue_depth,
-        max_queue_age=args.queue_age,
-        shed_policy=args.shed_policy,
+        admission=replace(
+            OVERLOAD.admission,
+            max_active=args.max_active,
+            max_queue_depth=args.queue_depth,
+            max_queue_age=args.queue_age,
+            shed_policy=args.shed_policy,
+        ),
     )
     if args.loads:
         loads = args.loads
@@ -580,9 +588,8 @@ def _cmd_overload(args: argparse.Namespace) -> int:
         loads = [capacity * factor for factor in (0.5, 1.0, 2.0, 4.0)]
     obs = _ObsSession(args)
     try:
-        results = overload_sweep(
-            loads,
-            base=base,
+        results = harness_sweep(
+            [replace(base, offered_load=load) for load in loads],
             seeds=args.seeds,
             certify=not args.no_certify,
             trace=obs.bus,
@@ -597,7 +604,9 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     title = "overload sweep"
     if capacity is not None:
         title += f" (capacity ~ {capacity:.3f} proc/t)"
-    print(format_table([result.row() for result in results], title=title))
+    print(
+        format_table([result.load_row() for result in results], title=title)
+    )
     certified = sum(1 for result in results if result.certified)
     frec_sheds = sum(result.frec_sheds for result in results)
     productive = sum(

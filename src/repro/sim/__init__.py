@@ -23,12 +23,14 @@ from repro.sim.certify import (
     certify_history,
     ensure_certified,
 )
-from repro.sim.chaos import (
-    ChaosResult,
-    ChaosSpec,
-    chaos_sweep,
+from repro.sim.harness import (
+    OVERLOAD,
+    HarnessResult,
+    HarnessSpec,
     default_mixes,
-    run_chaos,
+    estimate_capacity,
+    harness_sweep,
+    run_harness,
 )
 from repro.sim.crashpoints import (
     CrashingWAL,

@@ -169,24 +169,6 @@ class RunMetrics:
             "pred": self.prefix_reducible,
         }
 
-    def overload_row(self) -> Dict[str, object]:
-        """Flat row of the admission/shedding counters (X10 tables)."""
-        latency = summarize(self.latencies)
-        return {
-            "scheduler": self.scheduler_name,
-            "offered": self.processes_offered,
-            "committed": self.processes_committed,
-            "aborted": self.processes_aborted,
-            "rejected": self.processes_rejected,
-            "shed": self.processes_shed,
-            "goodput": round(self.goodput, 4),
-            "latency_p95": round(latency["p95"], 3),
-            "queue_peak": self.peak_queue_depth,
-            "starved": self.starvation_boosts,
-            "livelocks": self.livelock_escalations,
-            "pred": self.prefix_reducible,
-        }
-
     def perf_row(self) -> Dict[str, object]:
         """Flat row of the incremental-core perf counters (X11 tables)."""
         ops = max(self.activities_dispatched, 1)

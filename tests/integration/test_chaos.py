@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import CorrectnessViolation
-from repro.sim.chaos import ChaosSpec, chaos_sweep, default_mixes, run_chaos
+from repro.sim.harness import (
+    HarnessSpec,
+    default_mixes,
+    harness_sweep,
+    run_harness,
+)
 from repro.sim.workload import WorkloadSpec
 
 
@@ -25,32 +30,32 @@ def small_spec(**overrides):
         seed=1,
     )
     defaults.update(overrides)
-    return ChaosSpec(**defaults)
+    return HarnessSpec(**defaults)
 
 
 class TestRunChaos:
     def test_run_is_certified(self):
-        result = run_chaos(small_spec())
+        result = run_harness(small_spec())
         assert result.certified
-        assert result.pred and result.reducible and result.terminated
+        assert result.certification.certified
 
     def test_deterministic_given_seed(self):
-        first = run_chaos(small_spec())
-        second = run_chaos(small_spec())
-        assert first.row() == second.row()
+        first = run_harness(small_spec())
+        second = run_harness(small_spec())
+        assert first.chaos_row() == second.chaos_row()
 
     def test_different_seeds_differ(self):
-        rows = [run_chaos(small_spec(seed=s)).row() for s in range(4)]
+        rows = [run_harness(small_spec(seed=s)).chaos_row() for s in range(4)]
         assert len({tuple(sorted(r.items())) for r in rows}) > 1
 
     def test_fault_counters_recorded(self):
-        result = run_chaos(small_spec())
+        result = run_harness(small_spec())
         assert result.metrics.faults_injected == sum(result.injected.values())
         assert result.metrics.faults_injected > 0
         assert set(result.injected) == {"abort", "latency", "hang", "crash"}
 
     def test_counters_surface_resilience_activity(self):
-        result = run_chaos(small_spec())
+        result = run_harness(small_spec())
         assert {
             "retries",
             "timeouts",
@@ -60,7 +65,7 @@ class TestRunChaos:
         } <= set(result.counters)
 
     def test_zero_fault_spec_is_clean(self):
-        result = run_chaos(
+        result = run_harness(
             small_spec(
                 abort_rate=0.0, latency_rate=0.0, hang_rate=0.0, crash_rate=0.0
             )
@@ -76,7 +81,7 @@ class TestChaosSweep:
 
     def test_sweep_certifies_every_run(self):
         mixes = [small_spec(name="mixed")]
-        results = chaos_sweep(mixes=mixes, seeds=(0, 1, 2))
+        results = harness_sweep(mixes, seeds=(0, 1, 2))
         assert len(results) == 3
         assert all(result.certified for result in results)
 
@@ -84,7 +89,7 @@ class TestChaosSweep:
         """The issue's acceptance bar: under the standard mixes at least
         one process switches to a ◁-alternative proactively — without
         burning through its whole retry budget first."""
-        results = chaos_sweep(seeds=(1,))
+        results = harness_sweep(seeds=(1,))
         degradations = sum(
             result.counters["degradations"] for result in results
         )
@@ -103,7 +108,7 @@ class TestChaosSweep:
             certify_module, "check_pred", lambda history: Rejected()
         )
         with pytest.raises(CorrectnessViolation):
-            run_chaos(small_spec())
+            run_harness(small_spec())
         # certify=False reports the failed grade instead of raising.
-        result = run_chaos(small_spec(), certify=False)
-        assert not result.pred and not result.certified
+        result = run_harness(small_spec(), certify=False)
+        assert not result.certification.pred and not result.certified

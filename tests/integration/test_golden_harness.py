@@ -16,8 +16,13 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.sim.chaos import default_mixes, run_chaos
-from repro.sim.overload import OverloadSpec, estimate_capacity, run_overload
+from repro.core.admission import AdmissionConfig
+from repro.sim.harness import (
+    OVERLOAD,
+    default_mixes,
+    estimate_capacity,
+    run_harness,
+)
 from repro.sim.workload import WorkloadSpec
 
 CHAOS_COLUMNS = (
@@ -67,29 +72,40 @@ CAPACITY = 0.14598939752000525
 
 #: The three open-loop specs of ``tests/integration/test_overload.py``.
 LOAD_SPECS = {
-    "overloaded": lambda: OverloadSpec(
+    "overloaded": lambda: replace(
+        OVERLOAD,
         workload=WorkloadSpec(processes=16, service_pool=8, conflict_rate=0.05),
         offered_load=2.0,
-        max_active=2,
-        max_queue_depth=2,
-        max_queue_age=6.0,
+        admission=replace(
+            OVERLOAD.admission,
+            max_active=2,
+            max_queue_depth=2,
+            max_queue_age=6.0,
+        ),
         seed=3,
     ),
-    "underloaded": lambda: OverloadSpec(
+    "underloaded": lambda: replace(
+        OVERLOAD,
         workload=WorkloadSpec(processes=8, service_pool=8, conflict_rate=0.02),
         offered_load=0.05,
-        max_active=4,
-        max_queue_depth=4,
-        max_queue_age=20.0,
+        admission=replace(
+            OVERLOAD.admission,
+            max_active=4,
+            max_queue_depth=4,
+            max_queue_age=20.0,
+        ),
         seed=1,
     ),
-    "reject-new": lambda: OverloadSpec(
+    "reject-new": lambda: replace(
+        OVERLOAD,
         workload=WorkloadSpec(processes=12, service_pool=8, conflict_rate=0.05),
         offered_load=3.0,
-        max_active=2,
-        max_queue_depth=1,
-        max_queue_age=None,
-        shed_policy="reject-new",
+        admission=AdmissionConfig(
+            max_active=2,
+            max_queue_depth=1,
+            max_queue_age=None,
+            shed_policy="reject-new",
+        ),
         seed=2,
     ),
 }
@@ -106,22 +122,22 @@ def _observed(row: Dict[str, object], metrics, columns) -> Tuple[object, ...]:
 @pytest.mark.parametrize("mix,seed", sorted(CHAOS_ROWS))
 def test_chaos_rows(mix: str, seed: int) -> None:
     (spec,) = [spec for spec in default_mixes() if spec.name == mix]
-    result = run_chaos(spec.with_seed(seed))
-    observed = _observed(result.row(), result.metrics, CHAOS_COLUMNS)
+    result = run_harness(spec.with_seed(seed))
+    observed = _observed(result.chaos_row(), result.metrics, CHAOS_COLUMNS)
     assert observed == CHAOS_ROWS[mix, seed]
 
 
 def test_mixed_row_on_sqlite() -> None:
     spec = replace(default_mixes()[-1], backend="sqlite", seed=1)
-    result = run_chaos(spec)
-    observed = _observed(result.row(), result.metrics, CHAOS_COLUMNS)
+    result = run_harness(spec)
+    observed = _observed(result.chaos_row(), result.metrics, CHAOS_COLUMNS)
     assert observed == SQLITE_MIXED_ROW
 
 
 @pytest.mark.parametrize("case", sorted(LOAD_SPECS))
 def test_load_rows(case: str) -> None:
-    result = run_overload(LOAD_SPECS[case]())
-    observed = _observed(result.row(), result.metrics, LOAD_COLUMNS)
+    result = run_harness(LOAD_SPECS[case]())
+    observed = _observed(result.load_row(), result.metrics, LOAD_COLUMNS)
     assert observed == LOAD_ROWS[case]
 
 

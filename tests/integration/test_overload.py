@@ -6,13 +6,15 @@ through the discrete-event runner, and certify whatever histories come
 out with the shared offline checkers.
 """
 
+from dataclasses import replace
+
 from repro.core.admission import AdmissionConfig
 from repro.core.scheduler import (
     ManagedStatus,
     TransactionalProcessScheduler,
 )
 from repro.sim.certify import certify_history
-from repro.sim.overload import OverloadSpec, run_overload
+from repro.sim.harness import OVERLOAD, run_harness
 from repro.sim.runner import Arrival, SimulationRunner
 from repro.sim.workload import (
     ArrivalSpec,
@@ -24,17 +26,21 @@ from repro.sim.workload import (
 
 class TestOpenLoopOverload:
     def test_overloaded_run_certifies_and_sheds_only_brec(self):
-        spec = OverloadSpec(
+        spec = replace(
+            OVERLOAD,
             workload=WorkloadSpec(
                 processes=16, service_pool=8, conflict_rate=0.05
             ),
             offered_load=2.0,
-            max_active=2,
-            max_queue_depth=2,
-            max_queue_age=6.0,
+            admission=replace(
+                OVERLOAD.admission,
+                max_active=2,
+                max_queue_depth=2,
+                max_queue_age=6.0,
+            ),
             seed=3,
         )
-        result = run_overload(spec)
+        result = run_harness(spec)
         assert result.certified
         assert result.frec_sheds == 0
         metrics = result.metrics
@@ -49,39 +55,46 @@ class TestOpenLoopOverload:
         # The front door actually pushed back at 10x+ overload.
         assert metrics.processes_rejected > 0
         assert metrics.queue_depth_series
-        assert metrics.peak_queue_depth <= spec.max_queue_depth
+        assert metrics.peak_queue_depth <= spec.admission.max_queue_depth
         assert all(sojourn > 0 for sojourn in result.sojourns)
 
     def test_underloaded_run_admits_everything(self):
-        spec = OverloadSpec(
+        spec = replace(
+            OVERLOAD,
             workload=WorkloadSpec(
                 processes=8, service_pool=8, conflict_rate=0.02
             ),
             offered_load=0.05,
-            max_active=4,
-            max_queue_depth=4,
-            max_queue_age=20.0,
+            admission=replace(
+                OVERLOAD.admission,
+                max_active=4,
+                max_queue_depth=4,
+                max_queue_age=20.0,
+            ),
             seed=1,
         )
-        result = run_overload(spec)
+        result = run_harness(spec)
         assert result.certified
         assert result.metrics.processes_rejected == 0
         assert result.metrics.processes_shed == 0
         assert result.metrics.processes_committed >= 6
 
     def test_reject_new_policy_never_sheds(self):
-        spec = OverloadSpec(
+        spec = replace(
+            OVERLOAD,
             workload=WorkloadSpec(
                 processes=12, service_pool=8, conflict_rate=0.05
             ),
             offered_load=3.0,
-            max_active=2,
-            max_queue_depth=1,
-            max_queue_age=None,
-            shed_policy="reject-new",
+            admission=AdmissionConfig(
+                max_active=2,
+                max_queue_depth=1,
+                max_queue_age=None,
+                shed_policy="reject-new",
+            ),
             seed=2,
         )
-        result = run_overload(spec)
+        result = run_harness(spec)
         assert result.certified
         assert result.metrics.processes_shed == 0
         assert result.metrics.processes_rejected > 0

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.pred import check_pred
 from repro.core.reduction import reduce_schedule
-from repro.sim.chaos import ChaosSpec, run_chaos
+from repro.resilience import BreakerConfig, RetryPolicy
+from repro.sim.harness import HarnessSpec, run_harness
 from repro.sim.workload import WorkloadSpec
 
 
@@ -27,7 +28,7 @@ def chaos_specs(draw):
     latency_rate = draw(st.floats(0.0, 0.2))
     hang_rate = draw(st.floats(0.0, 0.2))
     crash_rate = draw(st.floats(0.0, 0.2))
-    return ChaosSpec(
+    return HarnessSpec(
         name="prop",
         workload=WorkloadSpec(
             processes=draw(st.integers(2, 5)),
@@ -40,10 +41,15 @@ def chaos_specs(draw):
         hang_rate=hang_rate,
         crash_rate=crash_rate,
         max_consecutive=draw(st.integers(2, 5)),
-        timeout=draw(st.floats(1.0, 5.0)),
-        max_attempts=draw(st.integers(2, 4)),
-        breaker_threshold=draw(st.integers(1, 3)),
-        breaker_reset=draw(st.floats(2.0, 10.0)),
+        retry=RetryPolicy(
+            timeout=draw(st.floats(1.0, 5.0)),
+            max_attempts=draw(st.integers(2, 4)),
+            base_delay=0.2,
+        ),
+        breaker=BreakerConfig(
+            failure_threshold=draw(st.integers(1, 3)),
+            reset_timeout=draw(st.floats(2.0, 10.0)),
+        ),
         target_services=draw(
             st.one_of(st.none(), st.integers(1, 4))
         ),
@@ -56,14 +62,14 @@ def chaos_specs(draw):
 def test_chaos_histories_stay_red_and_pred(spec):
     """Any seeded chaos mix yields a RED + PRED history and every
     process terminates — degradation to ◁-alternatives included."""
-    result = run_chaos(spec, certify=False)
-    assert result.terminated, (
+    verdict = run_harness(spec, certify=False).certification
+    assert verdict.terminated, (
         f"guaranteed termination violated under chaos (seed {spec.seed})"
     )
-    assert result.reducible, (
+    assert verdict.reducible, (
         f"completed schedule not reducible after chaos (seed {spec.seed})"
     )
-    assert result.pred, (
+    assert verdict.pred, (
         f"history not prefix-reducible after chaos (seed {spec.seed})"
     )
 
@@ -74,7 +80,7 @@ def test_breaker_degradation_preserves_reducibility(seed):
     """The degradation-heavy regime: concentrated faults, hair-trigger
     breakers, alternatives everywhere.  Whenever a ◁-alternative is
     taken, the history it leaves behind must still reduce."""
-    spec = ChaosSpec(
+    spec = HarnessSpec(
         name="degradation",
         workload=WorkloadSpec(
             processes=5,
@@ -88,18 +94,17 @@ def test_breaker_degradation_preserves_reducibility(seed):
         hang_rate=0.1,
         crash_rate=0.15,
         target_services=2,
-        breaker_threshold=1,
-        breaker_reset=8.0,
+        breaker=BreakerConfig(failure_threshold=1, reset_timeout=8.0),
         seed=seed,
     )
-    result = run_chaos(spec, certify=False)
-    assert result.terminated and result.reducible and result.pred
+    verdict = run_harness(spec, certify=False).certification
+    assert verdict.terminated and verdict.reducible and verdict.pred
 
 
 def test_degradation_regime_actually_degrades():
     """Sanity for the property above: the degradation-heavy regime does
     exercise the ◁-switch (otherwise the property tests vacuously)."""
-    spec = ChaosSpec(
+    spec = HarnessSpec(
         name="degradation",
         workload=WorkloadSpec(
             processes=5,
@@ -113,12 +118,11 @@ def test_degradation_regime_actually_degrades():
         hang_rate=0.1,
         crash_rate=0.15,
         target_services=2,
-        breaker_threshold=1,
-        breaker_reset=8.0,
+        breaker=BreakerConfig(failure_threshold=1, reset_timeout=8.0),
     )
     degradations = 0
     for seed in range(8):
-        result = run_chaos(spec.with_seed(seed), certify=False)
-        assert result.terminated
+        result = run_harness(spec.with_seed(seed), certify=False)
+        assert result.certification.terminated
         degradations += result.counters["degradations"]
     assert degradations >= 1

@@ -137,7 +137,7 @@ class _FakeChaosResult:
         self.certified = certified
         self.counters = {"degradations": 0}
 
-    def row(self):
+    def chaos_row(self):
         return {"mix": "fake", "certified": self.certified}
 
 
@@ -166,7 +166,7 @@ class _FakeOverloadResult:
 
         self.metrics = _Metrics()
 
-    def row(self):
+    def load_row(self):
         return {"load": 1.0, "certified": self.certified}
 
 
@@ -178,12 +178,15 @@ class TestChaosExitCodes:
         assert "1/1 runs certified" in capsys.readouterr().out
 
     def test_uncertified_run_exits_one(self, monkeypatch, capsys):
-        import repro.sim.chaos as chaos
+        import repro.sim.harness as harness
 
         monkeypatch.setattr(
-            chaos,
-            "chaos_sweep",
-            lambda **kwargs: [_FakeChaosResult(True), _FakeChaosResult(False)],
+            harness,
+            "harness_sweep",
+            lambda specs, **kwargs: [
+                _FakeChaosResult(True),
+                _FakeChaosResult(False),
+            ],
         )
         rc = main(["chaos", "--no-certify"])
         assert rc == 1
@@ -223,12 +226,12 @@ class TestOverloadExitCodes:
         assert "1/1 runs committed work" in out
 
     def test_uncertified_run_exits_one(self, monkeypatch, capsys):
-        import repro.sim.overload as overload
+        import repro.sim.harness as harness
 
         monkeypatch.setattr(
-            overload,
-            "overload_sweep",
-            lambda loads, base=None, seeds=(0,), certify=True, **kwargs: [
+            harness,
+            "harness_sweep",
+            lambda specs, seeds=(0,), certify=True, **kwargs: [
                 _FakeOverloadResult(False)
             ],
         )
@@ -236,37 +239,37 @@ class TestOverloadExitCodes:
         assert rc == 1
 
     def test_frec_shed_exits_one(self, monkeypatch):
-        import repro.sim.overload as overload
+        import repro.sim.harness as harness
 
         monkeypatch.setattr(
-            overload,
-            "overload_sweep",
-            lambda loads, base=None, seeds=(0,), certify=True, **kwargs: [
+            harness,
+            "harness_sweep",
+            lambda specs, seeds=(0,), certify=True, **kwargs: [
                 _FakeOverloadResult(True, frec_sheds=1)
             ],
         )
         assert main(["overload", "--loads", "1.0"]) == 1
 
     def test_zero_goodput_exits_one(self, monkeypatch):
-        import repro.sim.overload as overload
+        import repro.sim.harness as harness
 
         monkeypatch.setattr(
-            overload,
-            "overload_sweep",
-            lambda loads, base=None, seeds=(0,), certify=True, **kwargs: [
+            harness,
+            "harness_sweep",
+            lambda specs, seeds=(0,), certify=True, **kwargs: [
                 _FakeOverloadResult(True, committed=0)
             ],
         )
         assert main(["overload", "--loads", "1.0"]) == 1
 
     def test_certification_error_exits_one(self, monkeypatch, capsys):
-        import repro.sim.overload as overload
+        import repro.sim.harness as harness
         from repro.errors import CorrectnessViolation
 
-        def boom(loads, base=None, seeds=(0,), certify=True, **kwargs):
+        def boom(specs, seeds=(0,), certify=True, **kwargs):
             raise CorrectnessViolation("history not PRED")
 
-        monkeypatch.setattr(overload, "overload_sweep", boom)
+        monkeypatch.setattr(harness, "harness_sweep", boom)
         rc = main(["overload", "--loads", "1.0"])
         assert rc == 1
         assert "error" in capsys.readouterr().err

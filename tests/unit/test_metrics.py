@@ -98,13 +98,3 @@ class TestOverloadMetrics:
     def test_peak_queue_depth(self):
         assert self.make().peak_queue_depth == 3
         assert RunMetrics("pred").peak_queue_depth == 0
-
-    def test_overload_row_shape(self):
-        row = self.make().overload_row()
-        assert row["offered"] == 10
-        assert row["rejected"] == 3
-        assert row["shed"] == 2
-        assert row["goodput"] == 0.4
-        assert row["queue_peak"] == 3
-        assert row["starved"] == 1
-        assert row["livelocks"] == 1
