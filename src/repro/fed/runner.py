@@ -375,6 +375,14 @@ class FederationRunner:
             if shard.alive and not shard.scheduler.all_terminated():
                 shard.scheduler.resolve_stall()
                 return
+        if any(
+            shard.alive and shard.coordinator.pending
+            for shard in self.fed.shards.values()
+        ):
+            # A 2PC decision is still undelivered (its resends were
+            # dropped) with every link up and nothing scheduled: the
+            # next round's pump resends it.
+            return
         raise SchedulerError("federation stall with no victim available")
 
     # -- the loop ------------------------------------------------------

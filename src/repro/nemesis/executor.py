@@ -453,6 +453,16 @@ def run_plan(
             metrics = runner.run()
         except _NemesisHalt:
             halted = True
+        except ReproError as error:
+            # The run machinery gave up (a stall, no convergence): a
+            # reportable finding, never a harness crash.
+            halted = True
+            monitor.violation = InvariantViolation(
+                invariant="runner",
+                event_index=len(monitor.history()),
+                time=monitor.now,
+                detail=f"run stopped: {error}",
+            )
         if not halted:
             history = federation.merged_history()
             try:

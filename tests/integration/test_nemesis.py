@@ -175,6 +175,34 @@ class TestLatencyFaults:
         assert slow.metrics.makespan > fast.metrics.makespan
 
 
+class TestUndeliveredDecision:
+    def test_dropped_decision_resends_do_not_stall_the_federation(self):
+        """Plan 70: every resend of a pending 2PC abort decision is
+        dropped inside a message-drop window while both links are up
+        and nothing is scheduled.  The runner keeps resending until one
+        gets through instead of declaring a stall."""
+        spec = NemesisSpec(seed=2, cross_shard_fraction=0.3)
+        result = run_plan(spec, plan_for(spec, 7, 70, actions=10))
+        assert result.clean, result.violation
+        assert result.certification.certified and result.audit_clean
+        assert result.metrics.makespan == pytest.approx(15.343)
+
+    def test_runner_error_is_reported_as_violation(self, monkeypatch):
+        from repro.errors import SchedulerError
+        from repro.fed.runner import FederationRunner
+
+        def stall(self):
+            raise SchedulerError("federation stall with no victim available")
+
+        monkeypatch.setattr(FederationRunner, "run", stall)
+        spec = NemesisSpec(seed=2)
+        result = run_plan(spec, plan_for(spec, seed=9, index=0, actions=4))
+        assert not result.clean
+        assert result.halted
+        assert result.violation.invariant == "runner"
+        assert "no victim available" in result.violation.detail
+
+
 class TestNemesisCli:
     def test_search_clean_exits_zero(self, capsys):
         code = main(
