@@ -355,8 +355,6 @@ class TransactionalProcessScheduler:
         #: :meth:`history`.
         self._timeline: List[Tuple[str, object]] = []
         self._termination_order: List[object] = []
-        #: Paranoid-mode watermark: prefixes below it are certified.
-        self._paranoid_upto = 0
         #: Metrics registry: one counter system shared by the perf
         #: facade, the admission layer and external exporters.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -2381,7 +2379,6 @@ class TransactionalProcessScheduler:
     def _reset_certifier(self) -> None:
         """Discard certification state: the recorded past was rewritten
         (native rollback / 2PC veto), so every prefix must re-certify."""
-        self._paranoid_upto = 0
         self._certifier = None
         self._certified_timeline = 0
 
@@ -2427,7 +2424,6 @@ class TransactionalProcessScheduler:
                     f"reducible ({result})"
                 )
         self._certified_timeline = len(self._timeline)
-        self._paranoid_upto = len(certifier) + 1
         self.perf.certify_ms += (perf_counter() - started) * 1000.0
 
     def _wal(self, record: Dict[str, object]) -> None:

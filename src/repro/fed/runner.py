@@ -44,7 +44,12 @@ from repro.fed.federation import Federation
 from repro.obs.bus import tracing
 from repro.obs.explain import DecisionRecord
 from repro.sim.engine import EventQueue
-from repro.sim.runner import DurationModel, Lane, constant_durations
+from repro.sim.runner import (
+    MAX_ITERATIONS,
+    DurationModel,
+    Lane,
+    constant_durations,
+)
 
 __all__ = ["FederationRunMetrics", "FederationRunner"]
 
@@ -81,7 +86,6 @@ class FederationRunner:
         capacity: int = 4,
         kills: Sequence[Tuple[float, str, float]] = (),
         partitions: Sequence[Tuple[float, str, str, float]] = (),
-        max_iterations: int = 1_000_000,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
@@ -90,7 +94,6 @@ class FederationRunner:
         self.queue = EventQueue(clock=federation.clock)  # type: ignore[arg-type]
         if federation.trace is not None:
             federation.trace.attach_clock(self.queue.clock)
-        self._max_iterations = max_iterations
         #: One execution lane per shard on the shared queue.
         durations = durations or constant_durations()
         self._lanes: Dict[str, Lane] = {
@@ -419,7 +422,7 @@ class FederationRunner:
         iterations = 0
         while not self._finished():
             iterations += 1
-            if iterations > self._max_iterations:
+            if iterations > MAX_ITERATIONS:
                 raise SchedulerError("federated simulation did not converge")
             now = self.queue.clock.now
             progressed = self.fed.pump(now)

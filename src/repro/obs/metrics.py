@@ -20,7 +20,7 @@ Design constraints:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 __all__ = [
     "Counter",
@@ -30,15 +30,17 @@ __all__ = [
     "WindowedHistogram",
     "MetricsRegistry",
     "fleet_snapshot",
+    "percentile",
 ]
 
 Number = Union[int, float]
 
 
-def _percentile(ordered: List[float], fraction: float) -> float:
-    """Linear-interpolated percentile of an already-sorted sample."""
-    if not ordered:
+def percentile(values: Sequence[float], fraction: float) -> float:
+    """Linear-interpolated percentile; 0 for empty input."""
+    if not values:
         return 0.0
+    ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
     rank = fraction * (len(ordered) - 1)
@@ -203,9 +205,9 @@ class Histogram:
             "count": self.count,
             "sum": round(self.total, 6),
             "mean": round(self.total / self.count, 6) if self.count else 0.0,
-            "p50": round(_percentile(ordered, 0.50), 6),
-            "p95": round(_percentile(ordered, 0.95), 6),
-            "p99": round(_percentile(ordered, 0.99), 6),
+            "p50": round(percentile(ordered, 0.50), 6),
+            "p95": round(percentile(ordered, 0.95), 6),
+            "p99": round(percentile(ordered, 0.99), 6),
             "max": ordered[-1] if ordered else 0.0,
         }
 
@@ -395,9 +397,9 @@ class WindowedHistogram:
             "count": count,
             "sum": round(total, 6),
             "mean": round(total / count, 6) if count else 0.0,
-            "p50": round(_percentile(merged, 0.50), 6),
-            "p95": round(_percentile(merged, 0.95), 6),
-            "p99": round(_percentile(merged, 0.99), 6),
+            "p50": round(percentile(merged, 0.50), 6),
+            "p95": round(percentile(merged, 0.95), 6),
+            "p99": round(percentile(merged, 0.99), 6),
             "max": merged[-1] if merged else 0.0,
         }
 

@@ -2,7 +2,7 @@
 
 from repro.sim.clock import VirtualClock
 from repro.sim.engine import EventQueue
-from repro.sim.metrics import RunMetrics, percentile, summarize
+from repro.sim.metrics import RunMetrics, summarize
 from repro.sim.runner import (
     SimulationRunner,
     constant_durations,

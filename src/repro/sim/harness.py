@@ -38,9 +38,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.admission import AdmissionConfig, WatchdogConfig
 from repro.core.scheduler import ManagedStatus, TransactionalProcessScheduler
 from repro.obs.bus import tracing
+from repro.obs.metrics import percentile
 from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
 from repro.sim.certify import Certification, certify_history, ensure_certified
-from repro.sim.metrics import RunMetrics, percentile
+from repro.sim.metrics import RunMetrics
 from repro.sim.runner import Arrival, SimulationRunner
 from repro.sim.workload import (
     ArrivalSpec,

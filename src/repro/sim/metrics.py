@@ -8,27 +8,12 @@ into the row format the benchmark harness prints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["RunMetrics", "percentile", "summarize"]
+from repro.obs.metrics import percentile
 
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolated percentile; 0 for empty input."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = fraction * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    weight = rank - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight
+__all__ = ["RunMetrics", "summarize"]
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:

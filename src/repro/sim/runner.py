@@ -50,6 +50,9 @@ __all__ = [
 #: Maps a service name to its virtual duration.
 DurationModel = Callable[[str], float]
 
+#: Loop rounds after which an event loop gives up as non-converging.
+MAX_ITERATIONS = 1_000_000
+
 
 def constant_durations(duration: float = 1.0) -> DurationModel:
     """Every service takes the same virtual time."""
@@ -206,7 +209,6 @@ class SimulationRunner:
         scheduler,
         durations: Optional[DurationModel] = None,
         order: str = "strong",
-        max_iterations: int = 1_000_000,
         arrivals: Optional[Dict[str, float]] = None,
         offers: Optional[Sequence[Arrival]] = None,
     ) -> None:
@@ -223,7 +225,6 @@ class SimulationRunner:
             offers or [], key=lambda arrival: arrival.time
         )
         self._pending_offers = 0
-        self._max_iterations = max_iterations
         self.queue = EventQueue()
         #: instance id -> virtual arrival time; before it, the instance
         #: is not dispatched (open-system workloads).  Unlisted
@@ -279,7 +280,7 @@ class SimulationRunner:
         order_of = getattr(scheduler, "dispatch_order", None)
         while not self._finished():
             iterations += 1
-            if iterations > self._max_iterations:
+            if iterations > MAX_ITERATIONS:
                 raise SchedulerError("simulation did not converge")
             progressed = False
             now = self.queue.clock.now

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.metrics import RunMetrics, percentile, summarize
+from repro.obs.metrics import percentile
+from repro.sim.metrics import RunMetrics, summarize
 
 
 class TestPercentile:
