@@ -16,8 +16,9 @@ classes (latency spikes, hangs, crash-stopped subsystems):
   proactive switch to the next ◁-alternative, preserving guaranteed
   termination without burning the retry budget.
 
-The chaos harness (:mod:`repro.sim.chaos`) sweeps fault mixes over
-workloads and certifies that every produced history stays PRED.
+The single-scheduler harness (:mod:`repro.sim.harness`) sweeps fault
+mixes over workloads and certifies that every produced history stays
+PRED.
 """
 
 from repro.resilience.breaker import (

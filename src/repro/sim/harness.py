@@ -366,7 +366,9 @@ def run_harness(
     run_metrics.faults_injected = chaos.total_injected
     certified = verdict.certified and frec_sheds == 0
     if bus is not None:
-        shed = {} if begin else {"shed": run_metrics.processes_shed}
+        shed = {}
+        if harness == "overload":
+            shed = {"shed": run_metrics.processes_shed}
         bus.emit(
             "run_end",
             **label,
