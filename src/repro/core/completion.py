@@ -110,13 +110,13 @@ def complete_schedule(
 
     ``states`` optionally supplies pre-replayed
     :class:`~repro.core.instance.ProcessInstance` replicas per process
-    id — the incremental certifier maintains them across prefixes, so
-    the completion avoids re-replaying each process's events from
-    scratch.  A supplied state must equal what
-    ``schedule.instance_state(pid)`` would reconstruct *at that
-    process's last event* (a process never has events after its abort,
-    so the replica state is also its state at the abort position);
-    processes missing from the mapping fall back to reconstruction.
+    id — the prefix certifier maintains them across prefixes, so the
+    completion avoids re-replaying each process's events from scratch.
+    A state is only read for a process that is still active (it must
+    equal ``schedule.instance_state(pid)``) or at a process's abort
+    event (it must equal the reconstruction at that position); a
+    process without a matching replica must be left out of the mapping
+    and falls back to reconstruction.
     """
     events: List[ScheduleEvent] = []
     completion_positions: Set[int] = set()
@@ -277,19 +277,22 @@ def _forward_group_order(
 ) -> List[str]:
     """Order the forward-recovery groups to avoid avoidable cycles."""
     graph: Dict[str, Set[str]] = {pid: set() for pid in process_ids}
-    effective = _effective_events(state_source)
-    for left_index in range(len(effective)):
-        left = effective[left_index]
-        if left.process_id not in graph:
-            continue
-        for right_index in range(left_index + 1, len(effective)):
-            right = effective[right_index]
-            if right.process_id not in graph:
+    members = [
+        event
+        for event in _effective_events(state_source)
+        if event.process_id in graph
+    ]
+    conflicts = state_source.conflicts.conflicts
+    for left_index, left in enumerate(members):
+        left_pid = left.process_id
+        targets = graph[left_pid]
+        left_service = left.conflict_service
+        for right in members[left_index + 1 :]:
+            right_pid = right.process_id
+            if right_pid == left_pid or right_pid in targets:
                 continue
-            if left.process_id == right.process_id:
-                continue
-            if state_source.events_conflict(left, right):
-                graph[left.process_id].add(right.process_id)
+            if conflicts(left_service, right.conflict_service):
+                targets.add(right_pid)
 
     forward_services: Dict[str, List[str]] = {}
     for process_id in process_ids:
@@ -301,17 +304,16 @@ def _forward_group_order(
             services.append(service)
         forward_services[process_id] = services
 
-    for event in effective:
+    for event in members:
+        targets = graph[event.process_id]
         for target_pid, services in forward_services.items():
-            if event.process_id == target_pid or event.process_id not in graph:
+            if event.process_id == target_pid or target_pid in targets:
                 continue
             if any(
-                state_source.conflicts.conflicts(
-                    event.conflict_service, service
-                )
+                conflicts(event.conflict_service, service)
                 for service in services
             ):
-                graph[event.process_id].add(target_pid)
+                targets.add(target_pid)
 
     in_degree = {pid: 0 for pid in graph}
     for source, targets in graph.items():

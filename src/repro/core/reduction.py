@@ -43,7 +43,7 @@ the schedule is not reducible — a conflict cycle as witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.activity import ActivityId
 from repro.core.completion import CompletedSchedule, complete_schedule
@@ -51,7 +51,10 @@ from repro.core.conflict import ConflictRelation
 from repro.core.instance import ProcessInstance
 from repro.core.process import Process
 from repro.core.schedule import (
+    AbortEvent,
     ActivityEvent,
+    CommitEvent,
+    GroupAbortEvent,
     ProcessSchedule,
     ScheduleEvent,
 )
@@ -194,29 +197,45 @@ def is_reducible(schedule: ProcessSchedule) -> bool:
 
 
 class PrefixCertifier:
-    """Amortized certification of a growing history's prefixes.
+    """Certification of a growing history's prefixes in one forward pass.
 
-    The scheduler's paranoid mode certifies ``RED(prefix)`` for every
-    prefix of the produced history.  Re-running :func:`reduce_schedule`
-    per prefix re-replays every process's events from scratch each time
-    (the ``instance_state`` reconstructions inside the completion
-    dominate the O(n³) fixpoint in practice).  The certifier keeps the
-    growing schedule and a live :class:`~repro.core.instance.
+    The engine of both :func:`~repro.core.pred.check_pred` (which feeds
+    it a finished schedule event by event) and the scheduler's paranoid
+    mode (which feeds it each produced event as it happens).  Reducing
+    ``schedule.prefix(n)`` from scratch for every ``n`` re-replays every
+    process's events per prefix (the ``instance_state`` reconstructions
+    inside the completion dominate in practice).  The certifier keeps
+    the growing schedule and a live :class:`~repro.core.instance.
     ProcessInstance` replica per process across prefixes: each
-    :meth:`observe` advances the affected replica by *one* event and
-    hands the replicas to :func:`~repro.core.completion.
-    complete_schedule`, so certifying prefix ``n`` costs the reduction
-    of prefix ``n`` but no longer the O(n) re-replay per process.
+    :meth:`advance` steps the affected replica by *one* event and
+    :meth:`completed` hands the replicas to :func:`~repro.core.
+    completion.complete_schedule`, so certifying prefix ``n``
+    (:meth:`observe`) costs only its completion and reduction.
+
+    A replica only advances while its process has not terminated in the
+    history (commit, abort or group-abort marker): the completion never
+    reconstructs a terminated process past that point, and replaying
+    the recovery events that follow a group-abort marker could reject a
+    history the completion accepts.  A process that is aborted *after*
+    an earlier termination has no replica matching its state at the
+    later abort, so its replica is dropped and the completion
+    reconstructs it.
+
+    Every completion is built on a snapshot of the prefix, so a returned
+    result keeps describing that prefix while the history grows.
 
     The certifier assumes events arrive in history order.  When the
     owner rewrites the past (native rollback) it must discard the
     certifier and build a fresh one — prefix certification restarts
-    from zero, exactly like the recompute path.
+    from zero.
     """
 
-    def __init__(self, conflicts: ConflictRelation) -> None:
-        self._schedule = ProcessSchedule((), conflicts)
+    def __init__(
+        self, conflicts: ConflictRelation, processes: Iterable[Process] = ()
+    ) -> None:
+        self._schedule = ProcessSchedule(processes, conflicts)
         self._states: Dict[str, ProcessInstance] = {}
+        self._terminated: Set[str] = set()
 
     def __len__(self) -> int:
         return len(self._schedule)
@@ -232,14 +251,35 @@ class PrefixCertifier:
 
     def observe(self, event: ScheduleEvent) -> ReductionResult:
         """Append one history event and certify the new prefix."""
+        self.advance(event)
+        return reduce_schedule(self.completed())
+
+    def advance(self, event: ScheduleEvent) -> None:
+        """Append one history event and step the affected replica."""
         self._schedule.append(event)
-        process_id = getattr(event, "process_id", None)
-        if process_id is not None:
-            state = self._states.get(process_id)
+        if isinstance(event, GroupAbortEvent):
+            self._terminated.update(event.process_ids)
+        elif isinstance(event, CommitEvent):
+            self._terminated.add(event.process_id)
+        elif event.process_id in self._terminated:
+            if isinstance(event, AbortEvent):
+                self._states.pop(event.process_id, None)
+        else:
+            state = self._states.get(event.process_id)
             if state is None:
-                state = ProcessInstance(self._schedule.process(process_id))
-                self._states[process_id] = state
-            if isinstance(event, ActivityEvent):
-                self._schedule.replay_event(state, event, process_id)
-        completed = complete_schedule(self._schedule, states=self._states)
-        return reduce_schedule(completed)
+                state = ProcessInstance(
+                    self._schedule.process(event.process_id)
+                )
+                self._states[event.process_id] = state
+            if isinstance(event, AbortEvent):
+                self._terminated.add(event.process_id)
+            else:
+                self._schedule.replay_event(state, event, event.process_id)
+
+    def completed(self) -> CompletedSchedule:
+        """The completion ``S̃`` of the prefix observed so far."""
+        schedule = self._schedule
+        snapshot = ProcessSchedule(
+            schedule.processes(), schedule.conflicts, schedule.events
+        )
+        return complete_schedule(snapshot, states=self._states)

@@ -75,11 +75,14 @@ def certify_history(history, terminated: bool) -> Certification:
 
     ``terminated`` is the harness's own observation that every submitted
     process reached a terminal state (guaranteed termination) — the
-    checkers cannot see processes that produced no events.
+    checkers cannot see processes that produced no events.  A PRED
+    history is reducible too — its longest prefix is the history
+    itself — so the full reduction only runs when PRED fails.
     """
+    pred = check_pred(history).is_pred
     return Certification(
-        pred=check_pred(history).is_pred,
-        reducible=reduce_schedule(history).is_reducible,
+        pred=pred,
+        reducible=pred or reduce_schedule(history).is_reducible,
         terminated=terminated,
     )
 
