@@ -1,12 +1,16 @@
-"""Golden harness outputs: pinned table rows of the chaos and overload runs.
+"""Golden harness outputs: pinned table rows of the chaos, overload and
+federation runs.
 
-The ``chaos`` and ``overload`` commands print one row per certified
-run.  This pins those rows, column order included, plus the
-dispatched and deferred counts behind them, for every standard fault
-mix at seeds 0-2, the combined mix over sqlite, three open-loop specs
-and the closed-loop capacity estimate.  A refactor of the harness has
-to reproduce them bit for bit; a deliberate behaviour change
-re-records them and says why.
+The ``chaos``, ``overload`` and ``federation`` commands print one row
+per certified run.  This pins those rows, column order included, plus
+the dispatched and deferred counts behind the single-scheduler ones,
+for every standard fault mix at seeds 0-2, the combined mix over
+sqlite, three open-loop specs, the closed-loop capacity estimate, the
+shard-kill and scaling sweeps, the two-partition kill run of the
+``federation`` command, and the run count and fault-site coverage of
+a clean nemesis search.  A refactor of the harness has to reproduce
+them bit for bit; a deliberate behaviour change re-records them and
+says why.
 """
 
 from __future__ import annotations
@@ -17,6 +21,13 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.core.admission import AdmissionConfig
+from repro.nemesis import NemesisSpec, nemesis_search
+from repro.sim.federation import (
+    FederationSpec,
+    kill_sweep,
+    run_federation,
+    scaling_sweep,
+)
 from repro.sim.harness import (
     OVERLOAD,
     default_mixes,
@@ -143,3 +154,82 @@ def test_load_rows(case: str) -> None:
 
 def test_capacity_estimate() -> None:
     assert estimate_capacity() == CAPACITY
+
+
+FED_COLUMNS = (
+    "shards", "seed", "cross_shard_fraction", "conflict_rate", "committed",
+    "aborted", "makespan", "throughput", "fed_deferrals", "cross_victims",
+    "certified", "pred", "reducible", "terminated", "groups_checked",
+    "lost_decisions", "dup_applications", "in_doubt_residue",
+    "lost_processes", "net_kills", "net_recoveries", "net_dup_suppressed",
+    "net_requests_sent", "net_requests_failed", "net_posts_delivered",
+    "net_duplicates_delivered", "net_breaker_trips",
+    "net_breaker_fast_fails", "net_fault_drop", "net_fault_delay",
+    "net_fault_duplicate", "net_fault_partition",
+)
+
+#: ``kill_sweep(seeds=(0, 1, 2))`` rows in :data:`FED_COLUMNS` order.
+KILL_ROWS = (
+    (3, 0, 0.35, 0.05, 5, 7, 24.0, 0.2083, 36, 0, True, True, True, True, 6, 0, 0, 0, 0, 3, 3, 0, 2, 0, 26, 1, 0, 0, 3, 2, 1, 1),
+    (3, 1, 0.35, 0.05, 1, 11, 24.5, 0.0408, 16, 0, True, True, True, True, 1, 0, 0, 0, 0, 3, 3, 0, 0, 0, 20, 3, 0, 0, 5, 2, 3, 1),
+    (3, 2, 0.35, 0.05, 5, 7, 24.0, 0.2083, 19, 0, True, True, True, True, 6, 0, 0, 0, 0, 3, 3, 0, 2, 0, 24, 1, 0, 0, 0, 3, 1, 1),
+)
+
+#: ``scaling_sweep((1, 2))`` rows.
+SCALING_ROWS = (
+    (1, 0, 0.0, 0.0, 8, 0, 18.0, 0.4444, 0, 0, True, True, True, True, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 0, 0.0, 0.0, 8, 0, 10.0, 0.8, 0, 0, True, True, True, True, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+)
+
+#: The row of ``repro federation --kill --partitions 2 --seeds 0``; both
+#: partition windows fire, the second one spanning a recovery instant.
+CLI_KILL_ROW = (3, 0, 0.35, 0.05, 5, 7, 24.0, 0.2083, 33, 0, True, True, True, True, 6, 0, 0, 0, 0, 3, 3, 0, 2, 0, 30, 0, 0, 0, 0, 0, 0, 2)
+
+#: Plan executions and per-site fault deliveries of a clean search.
+SEARCH_RUNS = 10
+SEARCH_COVERAGE = {
+    "disk:fsync": 0, "kill:kill": 6, "message:drop": 22,
+    "message:delay": 5, "message:duplicate": 7, "message:partition": 10,
+    "subsystem:abort": 1, "subsystem:latency": 5, "subsystem:hang": 5,
+    "subsystem:crash": 1, "walcrash:wal_crash": 9,
+}
+
+
+def _fed_rows(results) -> Tuple[Tuple[object, ...], ...]:
+    rows = [result.row() for result in results]
+    assert all(tuple(row) == FED_COLUMNS for row in rows)
+    return tuple(tuple(row.values()) for row in rows)
+
+
+def test_kill_sweep_rows() -> None:
+    assert _fed_rows(kill_sweep(seeds=(0, 1, 2))) == KILL_ROWS
+
+
+def test_scaling_sweep_rows() -> None:
+    assert _fed_rows(scaling_sweep((1, 2))) == SCALING_ROWS
+
+
+def test_cli_kill_partitions_row() -> None:
+    spec = FederationSpec(
+        shards=3,
+        service_groups=6,
+        processes_per_group=2,
+        cross_shard_fraction=0.35,
+        conflict_rate=0.05,
+        kills=tuple((4.0 + 8.0 * index, index, 4.0) for index in range(3)),
+        partitions=((2.0, 0, 1, 2.0), (6.0, 1, 2, 2.0)),
+    )
+    result = run_federation(spec, strict=False)
+    assert _fed_rows([result]) == (CLI_KILL_ROW,)
+
+
+def test_clean_search_runs_and_coverage() -> None:
+    result = nemesis_search(
+        NemesisSpec(seed=2, cross_shard_fraction=0.3),
+        plans=10,
+        seed=7,
+        actions=10,
+    )
+    assert not result.found
+    assert result.total_runs == SEARCH_RUNS
+    assert dict(result.coverage.counts) == SEARCH_COVERAGE

@@ -14,6 +14,7 @@ the identical violation identity twice in a row.
 """
 
 import json
+import os
 
 import pytest
 
@@ -33,6 +34,12 @@ from repro.nemesis import (
 
 SEARCH_SEED = 0
 PLANS = 8
+
+#: The bundle the CI canary search wrote when the spec still carried
+#: seven workload and monitor fields that are now module constants.
+CANARY_BUNDLE_V1 = os.path.join(
+    os.path.dirname(__file__), "data", "canary_bundle_v1.json"
+)
 
 
 def canary_factory():
@@ -127,6 +134,18 @@ class TestCanarySearchShrinkReplay:
         )
         assert result.violation is not None
         assert result.violation.identity == bundle.violation.identity
+
+    def test_version_one_bundle_replays_its_violation(self):
+        report = replay_bundle(
+            CANARY_BUNDLE_V1, runs=2, invariants=canary_factory
+        )
+        assert report.reproduced, report.describe()
+        for result in report.results:
+            violation = result.violation
+            assert violation.invariant == "canary"
+            assert violation.event_index == 2
+            assert round(violation.time, 3) == 6.504
+            assert violation.detail.endswith("subsystem=1, message=1")
 
 
 class TestRunPlanCertification:
