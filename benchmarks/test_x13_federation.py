@@ -22,12 +22,7 @@ Raw numbers are persisted to ``benchmarks/results/BENCH_X13.json``.
 import json
 import os
 
-from repro.sim.federation import (
-    FederationSpec,
-    kill_sweep,
-    run_federation,
-    scaling_sweep,
-)
+from repro.nemesis import FederationSpec, kill_sweep, run_plan, scaling_sweep
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -111,13 +106,17 @@ def test_x13_federation(benchmark, report):
         )
         handle.write("\n")
     benchmark.pedantic(
-        run_federation, args=(_smoke_spec(),), rounds=3, iterations=1
+        run_plan,
+        args=(_smoke_spec(),),
+        kwargs={"invariants": [], "strict": True},
+        rounds=3,
+        iterations=1,
     )
 
 
 def test_x13_federation_smoke():
     """Benchmark-fixture-free variant for plain test runs."""
-    result = run_federation(_smoke_spec())
+    result = run_plan(_smoke_spec(), invariants=[], strict=True)
     assert result.certified
     assert result.counters["kills"] == 1
     assert result.counters["recoveries"] == 1

@@ -25,10 +25,11 @@ import json
 import os
 import statistics
 import time
+from dataclasses import replace
 
 from repro.nemesis import (
+    NEMESIS,
     CanaryInvariant,
-    NemesisSpec,
     default_invariants,
     nemesis_search,
     plan_for,
@@ -51,8 +52,11 @@ CANARY_RUNS = (
 
 
 def clean_search():
-    spec = NemesisSpec(
-        seed=CLEAN_SPEC_SEED, backend="sqlite", cross_shard_fraction=0.3
+    spec = replace(
+        NEMESIS,
+        seed=CLEAN_SPEC_SEED,
+        backend="sqlite",
+        cross_shard_fraction=0.3,
     )
     start = time.perf_counter()
     result = nemesis_search(
@@ -72,7 +76,7 @@ def clean_search():
 
 
 def canary_campaign(families, spec_seed, search_seed):
-    spec = NemesisSpec(seed=spec_seed)
+    spec = NEMESIS.with_seed(spec_seed)
 
     def invariants():
         return default_invariants() + [CanaryInvariant(families=families)]
@@ -142,8 +146,8 @@ def test_x15_nemesis(benchmark, report):
     benchmark.pedantic(
         run_plan,
         args=(
-            NemesisSpec(seed=CLEAN_SPEC_SEED),
-            plan_for(NemesisSpec(seed=CLEAN_SPEC_SEED), 7, 0),
+            NEMESIS.with_seed(CLEAN_SPEC_SEED),
+            plan_for(NEMESIS.with_seed(CLEAN_SPEC_SEED), 7, 0),
         ),
         rounds=3,
         iterations=1,

@@ -32,7 +32,7 @@ from repro.obs import (
     critical_paths,
     reconcile,
 )
-from repro.sim.federation import FederationSpec, run_federation
+from repro.nemesis import FederationSpec, run_plan
 
 ROUNDS = 5
 
@@ -82,7 +82,7 @@ def _run_once(mode):
         trace = TraceBus()
         sink = trace.subscribe(MemorySink())
     start = time.perf_counter()
-    result = run_federation(_spec(), strict=False, trace=trace)
+    result = run_plan(_spec(), invariants=[], trace=trace)
     elapsed = time.perf_counter() - start
     return result, elapsed, sink
 

@@ -626,11 +626,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
 
 
 def _cmd_federation(args: argparse.Namespace) -> int:
-    from repro.sim.federation import (
-        FederationSpec,
-        run_federation,
-        scaling_sweep,
-    )
+    from repro.nemesis import FederationSpec, run_plan, scaling_sweep
 
     obs = _ObsSession(args)
     try:
@@ -664,9 +660,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
                 ) if args.shards > 1 else (),
             )
             results = [
-                run_federation(
-                    base.with_seed(seed), strict=False, trace=obs.bus
-                )
+                run_plan(base.with_seed(seed), invariants=[], trace=obs.bus)
                 for seed in args.seeds
             ]
     except ReproError as error:
@@ -675,6 +669,12 @@ def _cmd_federation(args: argparse.Namespace) -> int:
     finally:
         for note in obs.finish():
             print(note, file=sys.stderr)
+    for result in results:
+        if result.certification is None:
+            # The run machinery gave up, or the history could not be
+            # replayed: there is no row to print.
+            print(f"error: {result.violation.describe()}", file=sys.stderr)
+            return 1
     title = "federation scaling sweep" if args.scaling else (
         "federation chaos sweep" if args.kill else "federation sweep"
     )
@@ -708,10 +708,13 @@ def _cmd_federation(args: argparse.Namespace) -> int:
 
 
 def _nemesis_spec(args: argparse.Namespace):
-    from repro.nemesis import NemesisSpec
+    from dataclasses import replace
+
+    from repro.nemesis import NEMESIS
 
     groups = args.groups if args.groups else max(2 * args.shards, 2)
-    return NemesisSpec(
+    return replace(
+        NEMESIS,
         shards=args.shards,
         service_groups=groups,
         processes_per_group=args.processes,

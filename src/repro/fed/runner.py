@@ -341,10 +341,6 @@ class FederationRunner:
                 self.fed.announce_termination(event.process_id, now)
                 start = self._spans_start.get(event.process_id, now)
                 self.metrics.process_spans[event.process_id] = (start, now)
-                if kind == "commit":
-                    self.metrics.committed += 1
-                else:
-                    self.metrics.aborted += 1
 
     # -- stall resolution ----------------------------------------------
 

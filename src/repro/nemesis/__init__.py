@@ -9,7 +9,9 @@ invariant registry catches violations at the earliest offending event;
 under a budget, shrinks what it finds with delta debugging and emits a
 deterministic repro bundle
 (:func:`~repro.nemesis.bundle.replay_bundle` re-executes it to the
-identical violation).
+identical violation).  :func:`~repro.nemesis.executor.run_plan` is the
+one federated harness: the X13 scaling and shard-kill sweeps are runs
+of the empty plan.
 """
 
 from repro.nemesis.plan import (
@@ -39,7 +41,15 @@ from repro.nemesis.invariants import (
     WalMonotoneInvariant,
     default_invariants,
 )
-from repro.nemesis.executor import NemesisRunResult, NemesisSpec, run_plan
+from repro.nemesis.executor import (
+    NEMESIS,
+    FederationResult,
+    FederationSpec,
+    build_federation,
+    kill_sweep,
+    run_plan,
+    scaling_sweep,
+)
 from repro.nemesis.shrink import ShrinkResult, ddmin_actions, shrink
 from repro.nemesis.bundle import (
     Bundle,
@@ -74,9 +84,13 @@ __all__ = [
     "PredPrefixInvariant",
     "WalMonotoneInvariant",
     "default_invariants",
-    "NemesisRunResult",
-    "NemesisSpec",
+    "NEMESIS",
+    "FederationResult",
+    "FederationSpec",
+    "build_federation",
+    "kill_sweep",
     "run_plan",
+    "scaling_sweep",
     "ShrinkResult",
     "ddmin_actions",
     "shrink",

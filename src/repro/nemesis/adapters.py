@@ -18,9 +18,9 @@ timeline:
   :class:`~repro.subsystems.failures.ChaosPolicy`.
 * :class:`PlannedMessageFaults` — a
   :class:`~repro.fed.messages.MessageFaultPolicy` whose per-message
-  drop/delay/duplicate verdicts consult the plan's active windows (and
-  an explicit ``random.Random(plan.seed)`` for the probability draws)
-  instead of flat rates.
+  drop/delay/duplicate verdicts consult the plan's active windows (with
+  an explicit plan-seeded ``random.Random`` for the probability draws)
+  and fall back to the policy's flat base rates outside them.
 * :func:`kill_schedule` / :func:`partition_schedule` — translate
   ``kill``/``partition`` actions into the exact
   ``(time, shard, downtime)`` / ``(time, a, b, duration)`` tuples the
@@ -112,17 +112,32 @@ class PlannedSubsystemFaults(FailurePolicy):
 
 
 class PlannedMessageFaults(MessageFaultPolicy):
-    """Message-fault slices of a plan, behind the MessageFaultPolicy API.
+    """Message-fault slices of a plan over flat base rates.
 
-    Base rates stay zero; the overridden verdicts consult the plan's
-    active ``msg_*`` windows with the window's own probability
-    (``param``), drawn from an explicit ``random.Random(plan.seed)``.
+    Inside an active ``msg_*`` window the window decides: its
+    probability (``param``) is drawn from an explicit plan-seeded
+    ``random.Random``.  Outside every window the verdict is exactly the
+    base :class:`MessageFaultPolicy` one — its rates drawn from its own
+    ``seed`` stream, and nothing drawn at all for a zero rate.
     Partitions are *not* decided here — :func:`partition_schedule`
     turns them into runner events so healing wakes blocked work.
     """
 
-    def __init__(self, plan: FaultPlan, clock) -> None:
-        super().__init__(seed=plan.seed)
+    def __init__(
+        self,
+        plan: FaultPlan,
+        clock,
+        drop_rate: float = 0.0,
+        delay_rate: float = 0.0,
+        duplicate_rate: float = 0.0,
+        seed: int = 0,
+    ) -> None:
+        super().__init__(
+            drop_rate=drop_rate,
+            delay_rate=delay_rate,
+            duplicate_rate=duplicate_rate,
+            seed=seed,
+        )
         self._plan_rng = random.Random(plan.seed * 2654435761 % 2**31)
         self._clock = clock
         self._drops = plan.by_kind("msg_drop")
@@ -140,21 +155,27 @@ class PlannedMessageFaults(MessageFaultPolicy):
 
     def drop(self) -> bool:
         action = self._active(self._drops)
-        if action is not None and self._plan_rng.random() < action.param:
+        if action is None:
+            return super().drop()
+        if self._plan_rng.random() < action.param:
             self.injected["drop"] += 1
             return True
         return False
 
     def delay(self) -> float:
         action = self._active(self._delays)
-        if action is not None and self._plan_rng.random() < action.param:
+        if action is None:
+            return super().delay()
+        if self._plan_rng.random() < action.param:
             self.injected["delay"] += 1
             return self._plan_rng.uniform(*self.delay_span)
         return 0.0
 
     def duplicate(self) -> bool:
         action = self._active(self._dups)
-        if action is not None and self._plan_rng.random() < action.param:
+        if action is None:
+            return super().duplicate()
+        if self._plan_rng.random() < action.param:
             self.injected["duplicate"] += 1
             return True
         return False

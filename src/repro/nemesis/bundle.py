@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.nemesis.executor import NemesisRunResult, NemesisSpec, run_plan
+from repro.nemesis.executor import FederationResult, FederationSpec, run_plan
 from repro.nemesis.invariants import InvariantViolation
 from repro.nemesis.plan import FaultPlan
 
@@ -31,7 +31,7 @@ _FORMAT = "repro/nemesis-bundle"
 class Bundle:
     """One minimized, replayable violation."""
 
-    spec: NemesisSpec
+    spec: FederationSpec
     plan: FaultPlan
     violation: InvariantViolation
     #: Provenance: search seed, plan index, action count before shrink.
@@ -54,7 +54,7 @@ class Bundle:
                 f"not a nemesis bundle: format={payload.get('format')!r}"
             )
         return cls(
-            spec=NemesisSpec.from_dict(payload["spec"]),
+            spec=FederationSpec.from_dict(payload["spec"]),
             plan=FaultPlan.from_dict(payload["plan"]),
             violation=InvariantViolation.from_dict(payload["violation"]),
             search=dict(payload.get("search", {})),
@@ -123,7 +123,7 @@ class ReplayReport:
     """Outcome of deterministically re-executing a bundle."""
 
     bundle: Bundle
-    results: List[NemesisRunResult]
+    results: List[FederationResult]
 
     @property
     def reproduced(self) -> bool:

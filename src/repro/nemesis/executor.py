@@ -1,26 +1,40 @@
-"""Execute one fault plan against a full federated system.
+"""The federated harness: one certified federated run under one plan.
 
-This is the nemesis counterpart of
-:func:`repro.sim.federation.run_federation`: the same deterministic
-build (seeded workload, per-group subsystems, service-ownership
-router, discrete-event federation runner), but with every injector
-family driven by one :class:`~repro.nemesis.plan.FaultPlan` and an
-online invariant registry evaluated *during* the run through the
-runner's per-round hook.  A violation halts the run at the offending
-round, pinned to its earliest offending event; a clean run ends with
-the usual offline certification plus the 2PC decision audit, folded
-into the result as a synthetic ``certification`` violation when dirty
-(so the search layer has exactly one signal to minimize).
+Builds an N-shard federation from a :class:`FederationSpec` — one
+subsystem of counter services per service group, a service-ownership
+router, seeded processes that are either shard-local or deliberately
+cross-shard — and runs it under the discrete-event
+:class:`~repro.fed.runner.FederationRunner`.  Faults come from two
+sources that compose: the spec's flat message rates and its kill and
+partition rows, and a :class:`~repro.nemesis.plan.FaultPlan` driving
+all five injector families.  An online invariant registry is
+evaluated *during* the run through the runner's per-round hook; a
+violation halts the run at the offending round, pinned to its earliest
+offending event.  A run that finishes ends with the offline PRED
+certification plus the 2PC decision audit, folded into the result as
+a synthetic ``certification`` violation when dirty (so the search
+layer has exactly one signal to minimize).
+
+Entry points:
+
+* :func:`run_plan` — one seeded federated run;
+* :func:`scaling_sweep` — same total work over 1..N shards on a
+  service-disjoint fleet (the near-linear-scaling experiment);
+* :func:`kill_sweep` — every shard killed and recovered mid-run while
+  drop/delay/duplicate/partition faults hit the inter-shard links.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+import random
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ReproError
-from repro.fed.federation import Federation
+from repro.core.conflict import ExplicitConflicts
+from repro.errors import CorrectnessViolation, ReproError
+from repro.fed.federation import Federation, FederationAudit
 from repro.fed.messages import FederationNetwork
+from repro.fed.router import ShardRouter
 from repro.fed.runner import FederationRunMetrics, FederationRunner
 from repro.nemesis.adapters import (
     PlannedMessageFaults,
@@ -38,117 +52,210 @@ from repro.nemesis.invariants import (
 )
 from repro.nemesis.plan import FaultPlan
 from repro.obs.bus import tracing
-from repro.sim.certify import Certification, certify_history
+from repro.sim.certify import Certification, certify_history, ensure_certified
 from repro.sim.clock import VirtualClock
-from repro.sim.federation import build_federation
+from repro.sim.workload import WorkloadSpec, generate_process
 from repro.subsystems.backend import BACKEND_KINDS, BackendHub
-from repro.subsystems.failures import DiskFaultPolicy
+from repro.subsystems.failures import DiskFaultPolicy, FailurePolicy
+from repro.subsystems.services import counter_service
+from repro.subsystems.subsystem import Subsystem
 
-__all__ = ["NemesisSpec", "NemesisRunResult", "run_plan"]
+__all__ = [
+    "FederationSpec",
+    "NEMESIS",
+    "FederationResult",
+    "build_federation",
+    "run_plan",
+    "scaling_sweep",
+    "kill_sweep",
+]
+
+#: Shape of every generated process (structure DSL knobs).
+PROCESS_SHAPE = WorkloadSpec(
+    processes=1,
+    prefix_range=(1, 2),
+    suffix_range=(1, 2),
+    alternative_probability=0.25,
+    max_depth=1,
+)
+
+#: Evaluate expensive invariants every N runner rounds.
+CHECK_EVERY = 8
 
 
 @dataclass(frozen=True)
-class NemesisSpec:
-    """The system-under-test a nemesis run drives a plan against."""
+class FederationSpec:
+    """The federated system a run drives: fleet, workload and faults."""
 
+    #: Number of scheduler shards.
     shards: int = 2
-    service_groups: int = 4
-    services_per_group: int = 2
+    #: Service groups (one subsystem each); each group is owned by one
+    #: shard (``group % shards``).  Keeping the group count fixed while
+    #: varying ``shards`` keeps the *work* identical across a sweep.
+    service_groups: int = 8
+    #: Distinct services per group.
+    services_per_group: int = 3
+    #: Processes homed per group.
     processes_per_group: int = 2
-    cross_shard_fraction: float = 0.25
-    conflict_rate: float = 0.05
+    #: Fraction of processes whose service pool spans two groups —
+    #: their footprint crosses shards, so their prepared groups commit
+    #: through the cross-shard 2PC.
+    cross_shard_fraction: float = 0.0
+    #: Give every process a *private* slice of its group's services
+    #: (``services_per_group`` each) so nothing conflicts unless the
+    #: explicit ``conflict_rate`` says so — the service-disjoint fleet
+    #: used by the scaling experiment.
+    disjoint_processes: bool = False
+    #: Probability that two distinct services conflict (explicit).
+    conflict_rate: float = 0.0
+    #: Concurrent-activity capacity per shard (fixed across sweeps).
     shard_capacity: int = 4
-    indoubt_timeout: float = 5.0
-    prefix_range: Tuple[int, int] = (1, 2)
-    suffix_range: Tuple[int, int] = (1, 2)
-    alternative_probability: float = 0.25
+    #: Base message fault rates on inter-shard links, outside every
+    #: plan window.
+    drop_rate: float = 0.0
+    delay_rate: float = 0.0
+    duplicate_rate: float = 0.0
+    #: ``(time, shard_index, downtime)`` kill schedule.
+    kills: Tuple[Tuple[float, int, float], ...] = ()
+    #: ``(time, shard_a_index, shard_b_index, duration)`` partitions.
+    partitions: Tuple[Tuple[float, int, int, float], ...] = ()
     #: Store backend behind every subsystem; ``sqlite``/``procpool``
     #: make the disk and kill families physically real.
     backend: str = "memory"
-    #: Workload seed (the plan carries the *fault* seed separately).
-    seed: int = 0
-    #: Evaluate expensive invariants every N runner rounds.
-    check_every: int = 8
     #: Virtual-time horizon random plans spread their triggers over.
     horizon: float = 24.0
-    #: Per-service cap on consecutive planned subsystem faults.
-    max_consecutive: int = 4
+    #: Workload and base-rate seed (a plan carries its own fault seed).
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("need at least one shard")
         if self.service_groups < self.shards:
             raise ValueError("need at least one service group per shard")
+        if not 0.0 <= self.cross_shard_fraction <= 1.0:
+            raise ValueError("cross_shard_fraction must be in [0, 1]")
         if self.backend not in BACKEND_KINDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of "
                 f"{', '.join(BACKEND_KINDS)}"
             )
 
+    def with_seed(self, seed: int) -> "FederationSpec":
+        return replace(self, seed=seed)
+
     def shard_names(self) -> List[str]:
         return [f"s{index}" for index in range(self.shards)]
 
+    def group_services(self, group: int) -> List[str]:
+        per_group = self.services_per_group * (
+            self.processes_per_group if self.disjoint_processes else 1
+        )
+        return [f"g{group}s{index}" for index in range(per_group)]
+
     def service_names(self) -> List[str]:
         return [
-            f"g{group}s{index}"
+            service
             for group in range(self.service_groups)
-            for index in range(self.services_per_group)
+            for service in self.group_services(group)
         ]
 
-    def with_seed(self, seed: int) -> "NemesisSpec":
-        return replace(self, seed=seed)
-
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "shards": self.shards,
-            "service_groups": self.service_groups,
-            "services_per_group": self.services_per_group,
-            "processes_per_group": self.processes_per_group,
-            "cross_shard_fraction": self.cross_shard_fraction,
-            "conflict_rate": self.conflict_rate,
-            "shard_capacity": self.shard_capacity,
-            "indoubt_timeout": self.indoubt_timeout,
-            "prefix_range": list(self.prefix_range),
-            "suffix_range": list(self.suffix_range),
-            "alternative_probability": self.alternative_probability,
-            "backend": self.backend,
-            "seed": self.seed,
-            "check_every": self.check_every,
-            "horizon": self.horizon,
-            "max_consecutive": self.max_consecutive,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "NemesisSpec":
-        data = dict(payload)
-        for key in ("prefix_range", "suffix_range"):
+    def from_dict(cls, payload: Dict[str, object]) -> "FederationSpec":
+        """Inverse of :meth:`to_dict`.
+
+        Keys the spec does not know are ignored: bundles written while
+        the process shape, in-doubt timeout, delay span, check interval
+        and consecutive-fault cap were spec fields still load, and
+        those values are the constants the harness uses now.
+        """
+        known = {spec_field.name for spec_field in fields(cls)}
+        data = {key: value for key, value in payload.items() if key in known}
+        for key in ("kills", "partitions"):
             if key in data:
-                data[key] = tuple(data[key])
-        known = {name for name in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+                data[key] = tuple(tuple(row) for row in data[key])
+        return cls(**data)
+
+
+#: The system nemesis campaigns drive plans against by default: four
+#: groups of two services, a quarter of the processes cross-shard.
+NEMESIS = FederationSpec(
+    service_groups=4,
+    services_per_group=2,
+    cross_shard_fraction=0.25,
+    conflict_rate=0.05,
+)
 
 
 @dataclass
-class NemesisRunResult:
-    """Everything one plan execution produced."""
+class FederationResult:
+    """Everything one federated run produced, flattened for reports."""
 
-    spec: NemesisSpec
+    spec: FederationSpec
     plan: FaultPlan
     #: The first invariant breach (online or synthesized from a failed
     #: end-of-run certification); ``None`` for a clean run.
     violation: Optional[InvariantViolation]
-    #: Offline verdict; ``None`` when the run halted mid-flight.
+    #: Offline verdict; ``None`` when the run stopped mid-flight or its
+    #: history could not be replayed.
     certification: Optional[Certification]
     audit_clean: bool
     coverage: CoverageReport
+    #: ``None`` when the run stopped mid-flight.
     metrics: Optional[FederationRunMetrics]
-    #: True when an online invariant stopped the run early.
+    #: True when an online invariant or the run machinery stopped the
+    #: run early.
     halted: bool = False
     rounds: int = 0
+    lost_decisions: List[str] = field(default_factory=list)
+    dup_applications: List[str] = field(default_factory=list)
+    in_doubt_residue: List[str] = field(default_factory=list)
+    lost_processes: List[str] = field(default_factory=list)
+    groups_checked: int = 0
+    counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
         return self.violation is None
+
+    @property
+    def certified(self) -> bool:
+        return (
+            self.certification is not None
+            and self.certification.certified
+            and self.audit_clean
+        )
+
+    @property
+    def throughput(self) -> float:
+        return self.metrics.throughput
+
+    def row(self) -> Dict[str, object]:
+        """The table row of a run that finished (``certification`` set)."""
+        return {
+            "shards": self.spec.shards,
+            "seed": self.spec.seed,
+            "cross_shard_fraction": self.spec.cross_shard_fraction,
+            "conflict_rate": self.spec.conflict_rate,
+            "committed": self.metrics.committed,
+            "aborted": self.metrics.aborted,
+            "makespan": round(self.metrics.makespan, 3),
+            "throughput": round(self.throughput, 4),
+            "fed_deferrals": self.metrics.fed_deferrals,
+            "cross_victims": self.metrics.cross_victims,
+            "certified": self.certified,
+            "pred": self.certification.pred,
+            "reducible": self.certification.reducible,
+            "terminated": self.certification.terminated,
+            "groups_checked": self.groups_checked,
+            "lost_decisions": len(self.lost_decisions),
+            "dup_applications": len(self.dup_applications),
+            "in_doubt_residue": len(self.in_doubt_residue),
+            "lost_processes": len(self.lost_processes),
+            **{f"net_{key}": value for key, value in self.counters.items()},
+        }
 
 
 class _NemesisHalt(Exception):
@@ -164,7 +271,7 @@ class _Monitor:
 
     def __init__(
         self,
-        spec: NemesisSpec,
+        spec: FederationSpec,
         federation: Federation,
         runner: FederationRunner,
         sub_faults: PlannedSubsystemFaults,
@@ -173,8 +280,8 @@ class _Monitor:
         hub: Optional[BackendHub],
         plan: FaultPlan,
         invariants: List[Invariant],
-        kills: List[Tuple[float, str, float]] = (),
-        partitions: List[Tuple[float, str, str, float]] = (),
+        kills: List[Tuple[float, str, float]],
+        partitions: List[Tuple[float, str, str, float]],
     ) -> None:
         self.spec = spec
         self.federation = federation
@@ -238,7 +345,7 @@ class _Monitor:
         self._fire_wal_crashes(now)
         self._mirror_physical_kills()
         for invariant in self.invariants:
-            if invariant.expensive and self.rounds % self.spec.check_every:
+            if invariant.expensive and self.rounds % CHECK_EVERY:
                 continue
             violation = invariant.check(self)
             if violation is not None:
@@ -343,18 +450,102 @@ class _Monitor:
         return None
 
 
+def build_federation(
+    spec: FederationSpec,
+    clock: VirtualClock,
+    network: FederationNetwork,
+    trace: Optional[object] = None,
+    backend_for: Optional[Callable[[str], object]] = None,
+    failures: Optional[FailurePolicy] = None,
+) -> Federation:
+    """The seeded federated fleet of ``spec``.
+
+    Group ``g`` is one subsystem ``grp<g>`` of counter services owned
+    by shard ``s<g % shards>``; every process draws its services from
+    its home group, and a ``cross_shard_fraction`` of them also from a
+    second group.  With ``disjoint_processes`` each process gets a
+    private slice of its group's services.  ``backend_for(name)`` backs
+    each subsystem's store and ``failures`` is threaded to every
+    process.
+
+    The RNG draw order (conflict pairs, then per process the
+    cross-shard draw and the process shape) is part of the contract:
+    benchmarks, CI seeds and saved nemesis bundles replay against it.
+    """
+    rng = random.Random(spec.seed)
+    group_services: List[List[str]] = []
+    owners: Dict[str, str] = {}
+    subsystems: List[Subsystem] = []
+    shard_names = spec.shard_names()
+    for group in range(spec.service_groups):
+        shard = shard_names[group % spec.shards]
+        services = spec.group_services(group)
+        group_services.append(services)
+        name = f"grp{group}"
+        subsystem = Subsystem(
+            name, backend=backend_for(name) if backend_for else None
+        )
+        for service in services:
+            subsystem.register(counter_service(service, key=service))
+            owners[service] = shard
+        subsystems.append(subsystem)
+
+    all_services = [svc for services in group_services for svc in services]
+    pairs = []
+    for i, left in enumerate(all_services):
+        for right in all_services[i + 1:]:
+            if spec.conflict_rate and rng.random() < spec.conflict_rate:
+                pairs.append((left, right))
+    federation = Federation(
+        ShardRouter(owners),
+        subsystems,
+        network=network,
+        conflicts=ExplicitConflicts(pairs),
+        clock=clock,
+        trace=trace,
+    )
+
+    for group in range(spec.service_groups):
+        for index in range(spec.processes_per_group):
+            if spec.disjoint_processes:
+                start = index * spec.services_per_group
+                pool = group_services[group][
+                    start:start + spec.services_per_group
+                ]
+            else:
+                pool = list(group_services[group])
+            if (
+                spec.service_groups > 1
+                and rng.random() < spec.cross_shard_fraction
+            ):
+                other = rng.randrange(spec.service_groups - 1)
+                if other >= group:
+                    other += 1
+                pool += group_services[other]
+            process = generate_process(
+                rng, PROCESS_SHAPE, f"P{group}-{index}", pool
+            )
+            federation.submit(process, failures=failures)
+    return federation
+
+
 def _build(
-    spec: NemesisSpec,
+    spec: FederationSpec,
     plan: FaultPlan,
     invariants: List[Invariant],
     trace=None,
     hub: Optional[BackendHub] = None,
 ):
     clock = VirtualClock()
-    msg_faults = PlannedMessageFaults(plan, clock)
-    sub_faults = PlannedSubsystemFaults(
-        plan, clock, max_consecutive=spec.max_consecutive
+    msg_faults = PlannedMessageFaults(
+        plan,
+        clock,
+        drop_rate=spec.drop_rate,
+        delay_rate=spec.delay_rate,
+        duplicate_rate=spec.duplicate_rate,
+        seed=spec.seed,
     )
+    sub_faults = PlannedSubsystemFaults(plan, clock)
     federation = build_federation(
         spec,
         clock,
@@ -364,13 +555,20 @@ def _build(
         failures=sub_faults,
     )
 
-    shard_names = spec.shard_names()
-    kills = kill_schedule(plan, shard_names)
-    # Partitions must not span a recovery instant: the synchronous
+    # Spec rows go to the runner as given; plan rows are sanitized.
+    names = spec.shard_names()
+    kills = [
+        (time, names[index % spec.shards], downtime)
+        for time, index, downtime in spec.kills
+    ] + kill_schedule(plan, names)
+    # Plan partitions must not span a recovery instant: the synchronous
     # recovery drain needs every peer link up (see partition_schedule).
-    recovery_instants = [at + downtime for at, _, downtime in kills]
-    partitions = partition_schedule(
-        plan, shard_names, avoid=recovery_instants
+    partitions = [
+        (time, names[a % spec.shards], names[b % spec.shards], duration)
+        for time, a, b, duration in spec.partitions
+        if a % spec.shards != b % spec.shards
+    ] + partition_schedule(
+        plan, names, avoid=[at + downtime for at, _, downtime in kills]
     )
     runner = FederationRunner(
         federation,
@@ -388,8 +586,8 @@ def _build(
         hub,
         plan,
         invariants,
-        kills=kills,
-        partitions=partitions,
+        kills,
+        partitions,
     )
     runner.on_round = monitor.on_round
     return federation, runner, monitor
@@ -408,20 +606,59 @@ def _collect_coverage(monitor: _Monitor) -> CoverageReport:
     return report
 
 
+def _ensure_clean(result: FederationResult) -> None:
+    """Raise a typed :class:`CorrectnessViolation` for a violating run."""
+    spec = result.spec
+    harness = f"federation:shards={spec.shards}"
+    details = {
+        "shards": spec.shards,
+        "lost_decisions": list(result.lost_decisions),
+        "dup_applications": list(result.dup_applications),
+        "in_doubt_residue": list(result.in_doubt_residue),
+        "lost_processes": list(result.lost_processes),
+    }
+    if result.certification is not None:
+        ensure_certified(
+            result.certification,
+            harness=harness,
+            seed=spec.seed,
+            clean=result.audit_clean,
+            detail=(
+                f"lost={result.lost_decisions} "
+                f"dup={result.dup_applications} "
+                f"residue={result.in_doubt_residue} "
+                f"lost_processes={result.lost_processes}"
+            ),
+            details=details,
+        )
+    if result.violation is not None:
+        raise CorrectnessViolation(
+            f"{harness} run (seed {spec.seed}) failed: "
+            f"{result.violation.describe()}",
+            harness=harness,
+            seed=spec.seed,
+            details=details,
+        )
+
+
 def run_plan(
-    spec: NemesisSpec,
-    plan: FaultPlan,
+    spec: FederationSpec,
+    plan: FaultPlan = FaultPlan(),
     invariants: Optional[List[Invariant]] = None,
     trace=None,
     metrics_registry=None,
-) -> NemesisRunResult:
-    """Run one plan against one system spec; never raises on violation.
+    strict: bool = False,
+) -> FederationResult:
+    """Run one plan against one federated system spec.
 
     The result's ``violation`` is the single signal the search and
     shrink layers consume: an online invariant breach (run halted at
-    the offending round) or, for runs that finished, a synthetic
-    ``certification`` violation when the offline checkers or the 2PC
-    decision audit come back dirty.
+    the offending round), the run machinery giving up, or, for runs
+    that finished, a synthetic ``certification`` violation when the
+    offline checkers or the 2PC decision audit come back dirty.
+    ``invariants=None`` arms the default registry; ``[]`` arms none.
+    With ``strict`` a violation raises :class:`CorrectnessViolation`
+    instead of being returned.
     """
     registry = (
         list(invariants) if invariants is not None else default_invariants()
@@ -432,23 +669,26 @@ def run_plan(
         else None
     )
     certification: Optional[Certification] = None
+    audit = FederationAudit()
     audit_clean = True
     metrics: Optional[FederationRunMetrics] = None
     halted = False
+    bus = tracing(trace)
+    if bus is not None:
+        # Before the build: the fleet's submissions belong to this run,
+        # and a live console resets its view at ``run_begin``.
+        bus.emit(
+            "run_begin",
+            harness="nemesis",
+            seed=spec.seed,
+            plan_seed=plan.seed,
+            actions=len(plan),
+            backend=spec.backend,
+        )
     try:
         federation, runner, monitor = _build(
             spec, plan, registry, trace=trace, hub=hub
         )
-        bus = tracing(trace)
-        if bus is not None:
-            bus.emit(
-                "run_begin",
-                harness="nemesis",
-                seed=spec.seed,
-                plan_seed=plan.seed,
-                actions=len(plan),
-                backend=spec.backend,
-            )
         try:
             metrics = runner.run()
         except _NemesisHalt:
@@ -504,8 +744,7 @@ def run_plan(
                 )
         violation = monitor.violation
         coverage = _collect_coverage(monitor)
-        rounds = monitor.rounds
-        bus = tracing(trace)
+        counters = federation.counters()
         if bus is not None:
             bus.emit(
                 "run_end",
@@ -526,7 +765,7 @@ def run_plan(
         metrics_registry.counter("nemesis_plans_run").inc()
         if violation is not None:
             metrics_registry.counter("nemesis_violations_found").inc()
-    return NemesisRunResult(
+    result = FederationResult(
         spec=spec,
         plan=plan,
         violation=violation,
@@ -535,5 +774,74 @@ def run_plan(
         coverage=coverage,
         metrics=metrics,
         halted=halted,
-        rounds=rounds,
+        rounds=monitor.rounds,
+        lost_decisions=list(audit.lost_decisions),
+        dup_applications=list(audit.dup_applications),
+        in_doubt_residue=list(audit.in_doubt_residue),
+        lost_processes=list(audit.lost_processes),
+        groups_checked=audit.groups_checked,
+        counters=counters,
     )
+    if strict:
+        _ensure_clean(result)
+    return result
+
+
+def scaling_sweep(
+    shard_counts: Sequence[int] = (1, 2, 4, 8),
+    seeds: Sequence[int] = (0,),
+    trace: Optional[object] = None,
+) -> List[FederationResult]:
+    """Same total work on service-disjoint fleets of 1..N shards.
+
+    The group count, per-group work and per-shard capacity are fixed;
+    only the shard count varies — aggregate throughput should scale
+    near-linearly because disjoint footprints exchange zero messages.
+    Every run must certify and audit clean.
+    """
+    base = FederationSpec(
+        service_groups=max(shard_counts),
+        processes_per_group=4,
+        shard_capacity=2,
+        disjoint_processes=True,
+    )
+    return [
+        run_plan(
+            replace(base, shards=shards, seed=seed),
+            invariants=[],
+            trace=trace,
+            strict=True,
+        )
+        for shards in shard_counts
+        for seed in seeds
+    ]
+
+
+def kill_sweep(seeds: Sequence[int] = (0, 1, 2)) -> List[FederationResult]:
+    """Chaos mode: every shard dies once, all four fault kinds injected.
+
+    Each seeded run kills and recovers each shard in turn (staggered so
+    the federation is never fully dark), runs message faults on every
+    link, and partitions a shard pair mid-run.  Every run must certify
+    and audit clean — zero lost, zero doubly-applied commit decisions.
+    """
+    base = FederationSpec(
+        shards=3,
+        service_groups=6,
+        processes_per_group=2,
+        cross_shard_fraction=0.35,
+        conflict_rate=0.05,
+        drop_rate=0.15,
+        delay_rate=0.15,
+        duplicate_rate=0.15,
+    )
+    kills = tuple(
+        (4.0 + 8.0 * index, index, 4.0) for index in range(base.shards)
+    )
+    configured = replace(
+        base, kills=kills, partitions=((2.0, 0, 1, 2.0),)
+    )
+    return [
+        run_plan(configured.with_seed(seed), invariants=[], strict=True)
+        for seed in seeds
+    ]

@@ -22,11 +22,7 @@ from typing import Callable, List, Optional
 
 from repro.nemesis.bundle import Bundle, write_bundle
 from repro.nemesis.coverage import CoverageReport
-from repro.nemesis.executor import (
-    NemesisRunResult,
-    NemesisSpec,
-    run_plan,
-)
+from repro.nemesis.executor import FederationResult, FederationSpec, run_plan
 from repro.nemesis.invariants import (
     Invariant,
     InvariantViolation,
@@ -42,7 +38,7 @@ InvariantFactory = Callable[[], List[Invariant]]
 
 
 def plan_for(
-    spec: NemesisSpec, seed: int, index: int, actions: int = 8
+    spec: FederationSpec, seed: int, index: int, actions: int = 8
 ) -> FaultPlan:
     """The ``index``-th plan of a search campaign — pure and seeded."""
     rng = random.Random(seed * 1_000_003 + index)
@@ -59,7 +55,7 @@ def plan_for(
 class SearchResult:
     """Outcome of one search campaign."""
 
-    spec: NemesisSpec
+    spec: FederationSpec
     seed: int
     explored: int = 0
     coverage: CoverageReport = field(default_factory=CoverageReport)
@@ -101,7 +97,7 @@ class SearchResult:
 
 
 def nemesis_search(
-    spec: NemesisSpec,
+    spec: FederationSpec,
     plans: int = 20,
     seed: int = 0,
     actions: int = 8,
@@ -112,7 +108,7 @@ def nemesis_search(
     bundle_trace: bool = True,
     trace=None,
     metrics_registry=None,
-    on_result: Optional[Callable[[int, NemesisRunResult], None]] = None,
+    on_result: Optional[Callable[[int, FederationResult], None]] = None,
 ) -> SearchResult:
     """Explore ``plans`` seeded fault plans; shrink + bundle on violation."""
     factory: InvariantFactory = (
@@ -142,7 +138,7 @@ def nemesis_search(
             expected = run.violation.identity
 
             def reproduces(
-                candidate_spec: NemesisSpec, candidate: FaultPlan
+                candidate_spec: FederationSpec, candidate: FaultPlan
             ) -> bool:
                 replay = run_plan(
                     candidate_spec, candidate, invariants=factory()

@@ -114,12 +114,10 @@ class _Oracle:
 
     @staticmethod
     def _key(spec: object, plan: FaultPlan) -> Tuple:
-        spec_key = (
-            json.dumps(spec.to_dict(), sort_keys=True)
-            if hasattr(spec, "to_dict")
-            else repr(spec)
+        return (
+            json.dumps(spec.to_dict(), sort_keys=True),
+            json.dumps(plan.to_dict(), sort_keys=True),
         )
-        return (spec_key, json.dumps(plan.to_dict(), sort_keys=True))
 
     def __call__(self, spec: object, plan: FaultPlan) -> bool:
         key = self._key(spec, plan)

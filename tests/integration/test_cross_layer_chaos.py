@@ -12,9 +12,11 @@ point and its own test; this is the first test where all of them fire
 inside a single timeline.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.nemesis import FaultAction, FaultPlan, NemesisSpec, run_plan
+from repro.nemesis import NEMESIS, FaultAction, FaultPlan, run_plan
 
 
 def _cross_layer_plan() -> FaultPlan:
@@ -39,8 +41,8 @@ def _cross_layer_plan() -> FaultPlan:
 class TestCrossLayerChaos:
     @pytest.fixture(scope="class")
     def result(self):
-        spec = NemesisSpec(
-            seed=7, cross_shard_fraction=0.5, backend="procpool"
+        spec = replace(
+            NEMESIS, seed=7, cross_shard_fraction=0.5, backend="procpool"
         )
         return run_plan(spec, _cross_layer_plan())
 
@@ -67,8 +69,8 @@ class TestCrossLayerChaos:
         # backend (modulo the physical kill, which procpool alone
         # performs): determinism is a property of the plan, not of
         # the backend.
-        spec = NemesisSpec(
-            seed=7, cross_shard_fraction=0.5, backend="sqlite"
+        spec = replace(
+            NEMESIS, seed=7, cross_shard_fraction=0.5, backend="sqlite"
         )
         one = run_plan(spec, _cross_layer_plan())
         two = run_plan(spec, _cross_layer_plan())

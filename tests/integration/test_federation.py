@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.explain import RULES, explain_trace
-from repro.sim.federation import FederationSpec, run_federation
+from repro.nemesis import FederationSpec, run_plan
 
 FED_RULES = (
     "fed-in-doubt-hold",
@@ -34,7 +34,7 @@ class TestFederationRuns:
             conflict_rate=0.1,
             seed=7,
         )
-        result = run_federation(spec)
+        result = run_plan(spec, invariants=[], strict=True)
         assert result.certified
         assert result.certification.pred
         assert result.certification.reducible
@@ -55,7 +55,7 @@ class TestFederationRuns:
             kills=((4.0, 0, 3.0), (10.0, 1, 3.0)),
             seed=3,
         )
-        result = run_federation(spec)
+        result = run_plan(spec, invariants=[], strict=True)
         assert result.certified
         assert result.counters["kills"] == 2
         assert result.counters["recoveries"] == 2
@@ -73,7 +73,7 @@ class TestFederationRuns:
             partitions=((1.0, 0, 1, 2.0),),
             seed=5,
         )
-        result = run_federation(spec)
+        result = run_plan(spec, invariants=[], strict=True)
         assert result.certified
         assert result.counters["fault_partition"] >= 1
 

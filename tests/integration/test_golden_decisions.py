@@ -32,16 +32,16 @@ from repro.fed.messages import FederationNetwork, MessageFaultPolicy
 from repro.fed.router import ShardRouter
 from repro.fed.runner import FederationRunner
 from repro.nemesis import (
+    NEMESIS,
     FaultAction,
     FaultPlan,
+    FederationSpec,
     Invariant,
-    NemesisSpec,
     default_invariants,
     run_plan,
 )
 from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
 from repro.sim.clock import VirtualClock
-from repro.sim.federation import FederationSpec, run_federation
 from repro.sim.runner import Arrival, SimulationRunner, simulate_run
 from repro.sim.workload import (
     ArrivalSpec,
@@ -296,8 +296,9 @@ _FEDERATION_SPEC = FederationSpec(
 
 
 def _federation_harness() -> Tuple[object, ...]:
-    """run_federation: the fleet builder plus the runner."""
-    result = run_federation(_FEDERATION_SPEC)
+    """run_plan without faults or invariants: the fleet builder plus the
+    runner."""
+    result = run_plan(_FEDERATION_SPEC, invariants=[], strict=True)
     assert result.certified
     row = result.row()
     return tuple(
@@ -351,7 +352,7 @@ _PLAN = FaultPlan(
 def _nemesis() -> Tuple[object, ...]:
     recorder = _History()
     invariants = default_invariants() + [recorder]
-    result = run_plan(NemesisSpec(seed=3), _PLAN, invariants=invariants)
+    result = run_plan(NEMESIS.with_seed(3), _PLAN, invariants=invariants)
     assert result.clean, result.violation
     assert result.coverage.counts["subsystem:hang"] > 0
     return _observe_federated(recorder.history, result.metrics) + (

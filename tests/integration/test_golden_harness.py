@@ -21,11 +21,12 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.core.admission import AdmissionConfig
-from repro.nemesis import NemesisSpec, nemesis_search
-from repro.sim.federation import (
+from repro.nemesis import (
+    NEMESIS,
     FederationSpec,
     kill_sweep,
-    run_federation,
+    nemesis_search,
+    run_plan,
     scaling_sweep,
 )
 from repro.sim.harness import (
@@ -219,13 +220,13 @@ def test_cli_kill_partitions_row() -> None:
         kills=tuple((4.0 + 8.0 * index, index, 4.0) for index in range(3)),
         partitions=((2.0, 0, 1, 2.0), (6.0, 1, 2, 2.0)),
     )
-    result = run_federation(spec, strict=False)
+    result = run_plan(spec, invariants=[])
     assert _fed_rows([result]) == (CLI_KILL_ROW,)
 
 
 def test_clean_search_runs_and_coverage() -> None:
     result = nemesis_search(
-        NemesisSpec(seed=2, cross_shard_fraction=0.3),
+        replace(NEMESIS, seed=2, cross_shard_fraction=0.3),
         plans=10,
         seed=7,
         actions=10,

@@ -15,15 +15,16 @@ the identical violation identity twice in a row.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.nemesis import (
+    NEMESIS,
     CanaryInvariant,
     FaultAction,
     FaultPlan,
-    NemesisSpec,
     default_invariants,
     nemesis_search,
     plan_for,
@@ -52,7 +53,7 @@ def canary_factory():
 def canary_search(tmp_path_factory):
     """One shared canary campaign: search -> shrink -> bundle."""
     bundle_dir = tmp_path_factory.mktemp("bundle")
-    spec = NemesisSpec(seed=3)
+    spec = NEMESIS.with_seed(3)
     result = nemesis_search(
         spec,
         plans=PLANS,
@@ -66,7 +67,7 @@ def canary_search(tmp_path_factory):
 
 class TestCleanSearch:
     def test_default_invariants_hold_under_random_plans(self):
-        result = nemesis_search(NemesisSpec(seed=1), plans=4, seed=11)
+        result = nemesis_search(NEMESIS.with_seed(1), plans=4, seed=11)
         assert not result.found, result.summary()
         assert result.explored == 4
         # Random plans must actually deliver faults, not just schedule
@@ -75,8 +76,8 @@ class TestCleanSearch:
         assert len(result.coverage.families_covered()) >= 2
 
     def test_campaign_is_deterministic(self):
-        one = nemesis_search(NemesisSpec(seed=1), plans=3, seed=5)
-        two = nemesis_search(NemesisSpec(seed=1), plans=3, seed=5)
+        one = nemesis_search(NEMESIS.with_seed(1), plans=3, seed=5)
+        two = nemesis_search(NEMESIS.with_seed(1), plans=3, seed=5)
         assert one.coverage.to_dict() == two.coverage.to_dict()
         assert [
             plan_for(one.spec, 5, i).to_dict() for i in range(3)
@@ -150,7 +151,7 @@ class TestCanarySearchShrinkReplay:
 
 class TestRunPlanCertification:
     def test_clean_plan_certifies(self):
-        spec = NemesisSpec(seed=2)
+        spec = NEMESIS.with_seed(2)
         plan = plan_for(spec, seed=9, index=0, actions=4)
         result = run_plan(spec, plan)
         assert result.clean
@@ -162,7 +163,7 @@ class TestRunPlanCertification:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        spec = NemesisSpec(seed=2)
+        spec = NEMESIS.with_seed(2)
         run_plan(spec, plan_for(spec, seed=9, index=0), metrics_registry=registry)
         snapshot = registry.snapshot()
         assert snapshot["nemesis_plans_run"] == 1
@@ -173,7 +174,7 @@ class TestLatencyFaults:
     def test_latency_spikes_delay_federated_activities(self):
         """A delivered spike lengthens the activity it hit, so planned
         spikes on every service must stretch the run."""
-        spec = NemesisSpec(seed=3)
+        spec = NEMESIS.with_seed(3)
         spikes = FaultPlan(
             seed=1,
             actions=tuple(
@@ -200,7 +201,7 @@ class TestUndeliveredDecision:
         dropped inside a message-drop window while both links are up
         and nothing is scheduled.  The runner keeps resending until one
         gets through instead of declaring a stall."""
-        spec = NemesisSpec(seed=2, cross_shard_fraction=0.3)
+        spec = replace(NEMESIS, seed=2, cross_shard_fraction=0.3)
         result = run_plan(spec, plan_for(spec, 7, 70, actions=10))
         assert result.clean, result.violation
         assert result.certification.certified and result.audit_clean
@@ -214,7 +215,7 @@ class TestUndeliveredDecision:
             raise SchedulerError("federation stall with no victim available")
 
         monkeypatch.setattr(FederationRunner, "run", stall)
-        spec = NemesisSpec(seed=2)
+        spec = NEMESIS.with_seed(2)
         result = run_plan(spec, plan_for(spec, seed=9, index=0, actions=4))
         assert not result.clean
         assert result.halted

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import MemorySink, TraceBus, critical_paths, reconcile, validate_stream
-from repro.sim.federation import FederationSpec, run_federation
+from repro.nemesis import FederationSpec, run_plan
 
 #: Virtual-time slack per process: segmentation is exact arithmetic on
 #: event timestamps, so anything above float noise is a real bug.
@@ -47,7 +47,7 @@ def federation_specs(draw):
 def test_phase_durations_partition_process_spans(spec):
     bus = TraceBus()
     sink = bus.subscribe(MemorySink())
-    run_federation(spec, strict=False, trace=bus)
+    run_plan(spec, invariants=[], trace=bus)
     records = sink.records()
     validate_stream(records)
 

@@ -23,7 +23,8 @@ from repro.fed.router import ShardRouter
 from repro.fed.runner import FederationRunner
 from repro.sim.certify import certify_history
 from repro.sim.clock import VirtualClock
-from repro.sim.federation import FederationSpec, _build
+from repro.nemesis import FaultPlan, FederationSpec
+from repro.nemesis.executor import _build
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem
 
@@ -133,7 +134,7 @@ def test_disjoint_workload_state_is_fleet_invariant(
             disjoint_processes=True,
             seed=seed,
         )
-        federation, runner = _build(spec)
+        federation, runner, _ = _build(spec, FaultPlan(), [])
         metrics = runner.run()
         return federation.snapshot(), metrics
 

@@ -3,21 +3,25 @@
 Covers the :class:`~repro.nemesis.plan.FaultPlan` JSON contract,
 seeded-plan determinism, the five adapter translations
 (:mod:`repro.nemesis.adapters`), fault-site coverage accounting and
-the :class:`~repro.nemesis.executor.NemesisSpec` round trip.
+the :class:`~repro.nemesis.executor.FederationSpec` round trip.
 """
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.fed.messages import MessageFaultPolicy
 from repro.nemesis import (
     ALL_SITES,
     FAMILIES,
     FAMILY_OF,
+    NEMESIS,
     CoverageReport,
     FaultAction,
     FaultPlan,
-    NemesisSpec,
+    FederationSpec,
     PlannedMessageFaults,
     PlannedSubsystemFaults,
     disk_arming,
@@ -135,7 +139,7 @@ class TestRandomPlan:
         assert not plan.by_kind("partition")
 
     def test_plan_for_is_pure(self):
-        spec = NemesisSpec(seed=5)
+        spec = NEMESIS.with_seed(5)
         assert plan_for(spec, 11, 3) == plan_for(spec, 11, 3)
         assert plan_for(spec, 11, 3) != plan_for(spec, 11, 4)
 
@@ -207,6 +211,72 @@ class TestMessageAdapter:
             two.drop() for _ in range(20)
         ]
         assert stream_a  # constructed fine
+
+    @staticmethod
+    def _verdicts(policy, count=60):
+        return [
+            (policy.drop(), policy.delay(), policy.duplicate())
+            for _ in range(count)
+        ]
+
+    def test_base_rates_outside_windows_match_a_bare_policy(self):
+        plan = FaultPlan(
+            seed=23,
+            actions=(
+                FaultAction(kind="msg_drop", at=0.0, duration=1.0, param=1.0),
+                FaultAction(kind="msg_delay", at=0.0, duration=1.0, param=1.0),
+                FaultAction(kind="msg_dup", at=0.0, duration=1.0, param=1.0),
+            ),
+        )
+        rates = dict(drop_rate=0.3, delay_rate=0.3, duplicate_rate=0.3, seed=7)
+        composed = PlannedMessageFaults(plan, _Clock(5.0), **rates)
+        bare = MessageFaultPolicy(**rates)
+        assert self._verdicts(composed) == self._verdicts(bare)
+        assert composed.injected == bare.injected
+        assert composed.injected["drop"] > 0
+
+    def test_window_param_and_plan_stream_decide_inside_a_window(self):
+        plan = FaultPlan(
+            seed=23,
+            actions=(
+                FaultAction(kind="msg_drop", at=0.0, duration=10.0, param=0.4),
+                FaultAction(kind="msg_delay", at=0.0, duration=10.0, param=0.4),
+                FaultAction(kind="msg_dup", at=0.0, duration=10.0, param=0.0),
+            ),
+        )
+        clock = _Clock(1.0)
+        with_base = PlannedMessageFaults(
+            plan,
+            clock,
+            drop_rate=0.9,
+            delay_rate=0.9,
+            duplicate_rate=0.9,
+            seed=7,
+        )
+        without_base = PlannedMessageFaults(plan, clock)
+        inside = self._verdicts(with_base)
+        assert inside == self._verdicts(without_base)
+        # param=0.0 never fires, whatever the base rate says.
+        assert not any(duplicate for _, _, duplicate in inside)
+        # The base stream was not drawn inside the window.
+        clock.now = 20.0
+        bare = MessageFaultPolicy(
+            drop_rate=0.9, delay_rate=0.9, duplicate_rate=0.9, seed=7
+        )
+        assert self._verdicts(with_base) == self._verdicts(bare)
+
+    def test_zero_base_rates_draw_nothing(self):
+        plan = FaultPlan(
+            seed=23,
+            actions=(
+                FaultAction(kind="msg_drop", at=5.0, duration=1.0, param=0.5),
+            ),
+        )
+        policy = PlannedMessageFaults(plan, _Clock(1.0), seed=7)
+        base, planned = policy._rng.getstate(), policy._plan_rng.getstate()
+        assert self._verdicts(policy) == [(False, 0.0, False)] * 60
+        assert policy._rng.getstate() == base
+        assert policy._plan_rng.getstate() == planned
 
 
 class TestScheduleAdapters:
@@ -311,22 +381,40 @@ class TestCoverage:
         )
 
 
-class TestNemesisSpec:
+class TestFederationSpec:
     def test_round_trip(self):
-        spec = NemesisSpec(
-            shards=3, backend="sqlite", seed=4, prefix_range=(2, 3)
+        spec = replace(
+            NEMESIS,
+            shards=3,
+            backend="sqlite",
+            seed=4,
+            kills=((4.0, 1, 2.0),),
+            partitions=((2.0, 0, 2, 1.0),),
         )
-        clone = NemesisSpec.from_dict(spec.to_dict())
+        clone = FederationSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
-        assert isinstance(clone.prefix_range, tuple)
+        assert isinstance(clone.kills[0], tuple)
+
+    def test_keys_of_dropped_fields_are_ignored(self):
+        payload = dict(
+            NEMESIS.to_dict(),
+            check_every=8,
+            indoubt_timeout=5.0,
+            prefix_range=[1, 2],
+        )
+        assert FederationSpec.from_dict(payload) == NEMESIS
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NemesisSpec(shards=0)
+            replace(NEMESIS, shards=0)
         with pytest.raises(ValueError):
-            NemesisSpec(backend="punchcards")
+            replace(NEMESIS, backend="punchcards")
+        with pytest.raises(ValueError):
+            replace(NEMESIS, cross_shard_fraction=1.5)
 
     def test_names(self):
-        spec = NemesisSpec(shards=2, service_groups=3, services_per_group=2)
+        spec = replace(NEMESIS, shards=2, service_groups=3, services_per_group=2)
         assert spec.shard_names() == ["s0", "s1"]
         assert len(spec.service_names()) == 6
+        disjoint = replace(spec, processes_per_group=3, disjoint_processes=True)
+        assert len(disjoint.service_names()) == 18

@@ -10,9 +10,9 @@ the violation).
 from dataclasses import replace
 
 from repro.nemesis import (
+    NEMESIS,
     FaultAction,
     FaultPlan,
-    NemesisSpec,
     ddmin_actions,
     shrink,
 )
@@ -96,7 +96,9 @@ class TestShrink:
         return FaultPlan(seed=3, actions=_actions(n))
 
     def test_minimizes_actions_windows_and_workload(self):
-        spec = NemesisSpec(shards=2, service_groups=4, processes_per_group=3)
+        spec = replace(
+            NEMESIS, shards=2, service_groups=4, processes_per_group=3
+        )
 
         def reproduces(candidate_spec, candidate):
             return "svc5" in _targets(candidate.actions)
@@ -114,7 +116,9 @@ class TestShrink:
         assert result.runs <= 200
 
     def test_workload_shrink_stops_where_repro_is_lost(self):
-        spec = NemesisSpec(shards=2, service_groups=5, processes_per_group=3)
+        spec = replace(
+            NEMESIS, shards=2, service_groups=5, processes_per_group=3
+        )
 
         def reproduces(candidate_spec, candidate):
             # Needs at least 2 processes per group and 4 groups.
@@ -129,7 +133,7 @@ class TestShrink:
         assert result.spec.service_groups == 4
 
     def test_budget_exhaustion_is_conservative(self):
-        spec = NemesisSpec()
+        spec = NEMESIS
         plan = self._plan(8)
 
         def reproduces(candidate_spec, candidate):
@@ -143,7 +147,7 @@ class TestShrink:
         assert "svc2" in _targets(tight.plan.actions)
 
     def test_deterministic_end_to_end(self):
-        spec = NemesisSpec(processes_per_group=2)
+        spec = replace(NEMESIS, processes_per_group=2)
         plan = self._plan(10)
 
         def reproduces(candidate_spec, candidate):
@@ -157,7 +161,7 @@ class TestShrink:
         assert one.runs == two.runs
 
     def test_memoization_avoids_duplicate_oracle_runs(self):
-        spec = NemesisSpec()
+        spec = NEMESIS
         plan = self._plan(6)
         seen = []
 
@@ -170,7 +174,7 @@ class TestShrink:
         shrink(spec, plan, reproduces, max_runs=500)
 
     def test_zero_duration_actions_skip_window_stage(self):
-        spec = NemesisSpec()
+        spec = NEMESIS
         plan = FaultPlan(
             actions=(FaultAction(kind="fsync_fail", at=1.0, param=2.0),)
         )
